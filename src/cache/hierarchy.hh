@@ -23,7 +23,6 @@
 
 #include "cache/array.hh"
 #include "cache/blockdata.hh"
-#include "cache/l2mode.hh"
 #include "common/stats.hh"
 #include "core/chunk.hh"
 #include "dram/ddr3.hh"
@@ -97,9 +96,8 @@ struct L2Config
 
     /**
      * Back DESC banks with full cycle-accurate links (LinkDescScheme)
-     * instead of the behavioral model. Results are identical; with the
-     * link fast path the cost is comparable. Non-DESC schemes ignore
-     * the flag.
+     * instead of the behavioral model. Results are identical, at the
+     * ticked link's cost. Non-DESC schemes ignore the flag.
      */
     bool link_backed = false;
 
@@ -205,29 +203,6 @@ class MemHierarchy
      *  snapshot was taken after. */
     void restoreWarmup(const WarmupState &w);
 
-    /**
-     * Would access() complete synchronously right now? Mirrors the
-     * L1-hit cases (read hit on any valid line; write hit on an M/E
-     * line) without mutating any state — no LRU touch, no stats. The
-     * cores' fast-forward paths use this to prove a run of memory ops
-     * will all be 2-cycle hits before retiring them in one step.
-     */
-    bool
-    peekHit(unsigned core, Addr addr, bool is_write, bool ifetch) const
-    {
-        const L1Array &l1 = ifetch ? _l1i[core] : _l1d[core];
-        auto way = l1.lookup(addr);
-        if (way == L1Array::kNoWay)
-            return false;
-        if (!is_write)
-            return true;
-        MesiState st = l1.meta(way).state;
-        return st == MesiState::Modified || st == MesiState::Exclusive;
-    }
-
-    /** True when the flat phase-chained transaction engine is active. */
-    bool usesFlatTxns() const { return _flat; }
-
   private:
     struct L1Meta
     {
@@ -330,28 +305,6 @@ class MemHierarchy
         DoneCb cb{};
     };
 
-    /**
-     * Flat-engine transaction: one pooled event that carries a cache
-     * transaction through its phases by rescheduling itself — request
-     * at the L2 controller, tag probe on a miss, data response back at
-     * the cores. Each phase issues its schedule call at exactly the
-     * point the reference chain would allocate its next event, so the
-     * global event order (and with it every observable) is identical.
-     */
-    struct TxnEvent final : sim::Event
-    {
-        enum class Phase : std::uint8_t { Request, Probe, Respond };
-
-        void process() override { mh->txnEvent(*this); }
-
-        MemHierarchy *mh = nullptr;
-        Phase phase = Phase::Request;
-        Addr addr = 0;
-        Cycle t0 = 0;
-        bool sample_hit = false;
-        std::vector<MshrEntry::Waiter> waiters;
-    };
-
     static constexpr std::uint32_t kNoMshr = ~std::uint32_t{0};
 
     unsigned bankOf(Addr addr) const;
@@ -387,27 +340,12 @@ class MemHierarchy
     void tagProbe(TagProbeEvent &ev);
     void respond(ResponseEvent &ev);
     void deliver(DeliverEvent &ev);
-    void txnEvent(TxnEvent &ev);
     AccessEvent &acquireAccess();
     ResponseEvent &acquireResponse();
-    TxnEvent &acquireTxn();
 
     void l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w);
     void startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w);
     void finishMiss(Addr addr);
-
-    /**
-     * Engine-shared transaction steps. The hit path performs the
-     * coherence actions and the data transfer, returning the cycle
-     * the response reaches the cores; the miss path allocates the
-     * MSHR and returns the tag-probe completion cycle; the respond
-     * step fills L1s, applies stores, and runs the completions.
-     */
-    Cycle serveHitCommon(L2Array::Way way, Addr addr, Cycle t0,
-                         unsigned core, bool exclusive, bool ifetch);
-    Cycle startMissCommon(Addr addr, Cycle t0, MshrEntry::Waiter w);
-    void respondCommon(Addr addr, Cycle t0, bool sample_hit,
-                       std::vector<MshrEntry::Waiter> &waiters);
 
     /** Flush/downgrade coherence copies; returns true if a recall
      *  transfer was needed (owner had a Modified copy). */
@@ -448,8 +386,6 @@ class MemHierarchy
     std::vector<ResponseEvent *> _response_free;
     std::deque<DeliverEvent> _deliver_events;
     std::vector<DeliverEvent *> _deliver_free;
-    std::deque<TxnEvent> _txn_events;
-    std::vector<TxnEvent *> _txn_free;
 
     std::unique_ptr<ecc::BlockCodec> _codec;
     BitVec _scratch;     //!< reusable transfer word
@@ -458,7 +394,6 @@ class MemHierarchy
     unsigned _array_read_cycles;
     unsigned _array_write_cycles;
     Cycle _flight;
-    bool _flat; //!< flat transaction engine (latched L2 mode)
 
     HierarchyStats _stats;
     core::ChunkStats _chunk_stats;

@@ -21,9 +21,9 @@ namespace {
 /** Dotted names, index-matched to the Component enum; desc-lint
  *  checks the two stay in sync (dots removed == enum name lowered). */
 constexpr const char *kNames[kNumComponents] = {
-    "runner",        "energy",     "cpu.inorder", "cpu.ooo",
-    "cache.access",  "cache.request", "cache.miss", "cache.respond",
-    "dram",          "link.fast",  "link.ticked", "encoder",
+    "runner",        "energy",        "cpu.inorder", "cpu.ooo",
+    "cache.access",  "cache.request", "cache.miss",  "cache.respond",
+    "dram",          "link.ticked",   "encoder",
 };
 
 /** Scope stack depth limit; deeper entries are counted, not timed. */

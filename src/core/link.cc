@@ -3,104 +3,20 @@
 #include <bit>
 
 #include "common/contract.hh"
-#include "common/env.hh"
-#include "common/log.hh"
 #include "common/prof.hh"
 #include "common/trace.hh"
 
 namespace desc::core {
 
-namespace {
-
-std::optional<LinkMode> g_link_mode_override;
-
-} // namespace
-
-void
-setDefaultLinkMode(std::optional<LinkMode> mode)
-{
-    g_link_mode_override = mode;
-}
-
-LinkMode
-defaultLinkMode()
-{
-    if (g_link_mode_override)
-        return *g_link_mode_override;
-    static const LinkMode mode = [] {
-        static const env::EnumName kWords[] = {
-            {"auto", int(LinkMode::Auto)},
-            {"ticked", int(LinkMode::Ticked)},
-            {"fast", int(LinkMode::Fast)},
-        };
-        return LinkMode(env::enumOr(env::Var::LinkMode, kWords, 3,
-                                    int(LinkMode::Auto)));
-    }();
-    return mode;
-}
-
 DescLink::DescLink(const DescConfig &cfg)
     : _cfg(cfg), _tx(cfg), _rx(cfg), _cur(cfg.activeWires()),
-      _prev(cfg.activeWires()), _plan(cfg.activeWires()),
-      _mode(defaultLinkMode())
+      _prev(cfg.activeWires())
 {
-}
-
-bool
-DescLink::wantFastPath() const
-{
-    // Fault injectors, wire observers (VCD export), and the link trace
-    // channel all need to see the individual cycles; the fast path
-    // would change their output, so it is never taken behind them.
-    bool watched = _fault || _observer
-        || trace::enabled(trace::Channel::Link);
-    switch (_mode) {
-      case LinkMode::Ticked:
-        return false;
-      case LinkMode::Auto:
-        return !watched;
-      case LinkMode::Fast:
-        if (watched) {
-            warnOnce("desc-link-forced-fast",
-                     "DESC_LINK_MODE=fast ignored: a fault hook, wire "
-                     "observer, or link trace needs cycle-accurate "
-                     "transfers; using the ticked loop");
-            return false;
-        }
-        return true;
-    }
-    DESC_PANIC("bad link mode");
-}
-
-encoding::TransferResult
-DescLink::fastTransfer(const BitVec &block, BitVec *received)
-{
-    DESC_PROF_SCOPE(LinkFast);
-    _tx.fastForwardBlock(block, _plan);
-    // The receiver ends in the state observing every cycle would have
-    // produced; toggle signaling is lossless here (ideal wires, no
-    // fault hook), so the recovered block is the input block.
-    _rx.fastForwardBlock(block, _tx.wires(), _plan);
-
-    _cycle += _plan.result.cycles;
-    DESC_PROF_CYCLES(LinkFast, _plan.result.cycles);
-    // Keep the transition reference coherent for a later ticked
-    // transfer on this link.
-    _prev = _tx.wires();
-
-    if (received)
-        *received = block;
-    _rx.discardBlock();
-    return _plan.result;
 }
 
 encoding::TransferResult
 DescLink::transferBlock(const BitVec &block, BitVec *received)
 {
-    _used_fast = wantFastPath();
-    if (_used_fast)
-        return fastTransfer(block, received);
-
     DESC_PROF_SCOPE(LinkTicked);
     encoding::TransferResult result;
     _tx.loadBlock(block);
@@ -162,7 +78,6 @@ DescLink::reset()
     _cur.clear();
     _prev.clear();
     _cycle = 0;
-    _used_fast = false;
 }
 
 } // namespace desc::core

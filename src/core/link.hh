@@ -7,57 +7,20 @@
  * model the fast behavioral DescScheme is validated against, and the
  * substrate for the ECC error-injection experiments (a transient
  * H-tree fault is injected as a spurious or suppressed toggle).
- *
- * Transfers that nobody watches cycle by cycle take the closed-form
- * fast path instead (DESIGN.md §10): the transmitter computes every
- * wire's toggle schedule analytically and both endpoints jump straight
- * to their post-transfer state. The result, the recovered block, and
- * all persistent state (toggle levels, last-value tables, adaptive
- * counters) are bit-identical to the ticked loop — enforced by
- * tests/core/test_link_fastpath. The ticked loop is selected
- * automatically whenever a fault hook, wire observer, or link trace
- * channel needs to see the individual cycles.
  */
 
 #ifndef DESC_CORE_LINK_HH
 #define DESC_CORE_LINK_HH
 
 #include <functional>
-#include <optional>
 
 #include "common/bitvec.hh"
 #include "core/config.hh"
-#include "core/fastforward.hh"
 #include "core/receiver.hh"
 #include "core/transmitter.hh"
 #include "encoding/scheme.hh"
 
 namespace desc::core {
-
-/** How DescLink::transferBlock moves a block (see defaultLinkMode). */
-enum class LinkMode
-{
-    Auto,   //!< fast path unless a hook or link trace needs cycles
-    Ticked, //!< always the cycle-accurate reference loop
-    Fast,   //!< closed form even when nothing forces it (hooks still
-            //!< fall back to ticked, with a one-time warning)
-};
-
-/**
- * Process-wide default link mode: Auto, overridden by the
- * DESC_LINK_MODE environment variable (auto|ticked|fast). Parsed once;
- * an unrecognized value warns and falls back to Auto.
- */
-LinkMode defaultLinkMode();
-
-/**
- * Programmatic override of defaultLinkMode(), bypassing the
- * environment latch; nullopt returns to the environment/default.
- * Affects links constructed (or re-moded) afterwards — the
- * differential tests and per-mode benchmarks use it to force each
- * engine in one process.
- */
-void setDefaultLinkMode(std::optional<LinkMode> mode);
 
 class DescLink
 {
@@ -88,35 +51,18 @@ class DescLink
     encoding::TransferResult transferBlock(const BitVec &block,
                                            BitVec *received = nullptr);
 
-    /**
-     * Override the mode for this link (defaults to defaultLinkMode(),
-     * so tests can pin a path regardless of the environment).
-     */
-    void setMode(LinkMode mode) { _mode = mode; }
-    LinkMode mode() const { return _mode; }
-
-    /** Whether the most recent transferBlock took the fast path. */
-    bool usedFastPath() const { return _used_fast; }
-
     DescTransmitter &tx() { return _tx; }
     DescReceiver &rx() { return _rx; }
 
     void reset();
 
   private:
-    bool wantFastPath() const;
-    encoding::TransferResult fastTransfer(const BitVec &block,
-                                          BitVec *received);
-
     DescConfig _cfg;
     DescTransmitter _tx;
     DescReceiver _rx;
     WireBundle _cur;  //!< reused per-cycle snapshot of the tx wires
     WireBundle _prev;
-    FastForwardPlan _plan; //!< preallocated fast-path scratch
     Cycle _cycle = 0;
-    LinkMode _mode;
-    bool _used_fast = false;
     FaultHook _fault;
     WireHook _observer;
 };

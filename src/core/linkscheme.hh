@@ -5,12 +5,10 @@
  * Exposes the cycle-accurate transmitter/receiver pair behind the same
  * interface as the behavioral DescScheme, so the cache hierarchy can
  * drive real links instead of the block-level model
- * (L2Config::link_backed). With the link fast path (DESIGN.md §10)
- * this costs close to the behavioral model while keeping the option of
- * attaching per-cycle hooks (VCD export, fault injection), which
- * transparently switch the link back to its ticked reference loop.
- * name() returns the same strings as DescScheme so reports are
- * unchanged by the backing choice.
+ * (L2Config::link_backed), with the option of attaching per-cycle
+ * hooks (VCD export, fault injection) to the link. name() returns the
+ * same strings as DescScheme so reports are unchanged by the backing
+ * choice.
  */
 
 #ifndef DESC_CORE_LINKSCHEME_HH
@@ -38,7 +36,7 @@ class LinkDescScheme : public encoding::TransferScheme
     const char *name() const override;
     void reset() override { _link.reset(); }
 
-    /** The underlying link, e.g. to attach hooks or pin a mode. */
+    /** The underlying link, e.g. to attach hooks. */
     DescLink &link() { return _link; }
 
     const DescConfig &config() const { return _cfg; }

@@ -169,64 +169,6 @@ DescReceiver::observe(const WireBundle &wires_in)
     }
 }
 
-void
-DescReceiver::fastForwardBlock(const BitVec &block,
-                               const WireBundle &final_levels,
-                               const FastForwardPlan &plan)
-{
-    DESC_ASSERT(!_ready, "fastForwardBlock before previous block was taken");
-    DESC_ASSERT(block.width() == _cfg.block_bits, "block width mismatch");
-
-    const unsigned wires = _cfg.activeWires();
-    const unsigned waves = _cfg.numWaves();
-
-    _ticks += plan.result.cycles;
-
-    // The detectors' delayed copies end at the transmitter's final
-    // wire levels, exactly as if each cycle had been sampled.
-    _data_bank.prime(final_levels.data);
-    _reset_td.prime(final_levels.reset_skip);
-    _sync_td.prime(final_levels.sync);
-
-    if (_cfg.skip == SkipMode::Adaptive) {
-        // The counters fold in every chunk, so replay the block in
-        // finalizeWave order (wave by wave, wire by wire).
-        BitCursor cur(block);
-        for (unsigned g = 0; g < waves; g++) {
-            for (unsigned w = 0; w < wires; w++) {
-                std::uint8_t v = std::uint8_t(cur.next(_cfg.chunk_bits));
-                _last[w] = v;
-                _adaptive.update(w, v);
-            }
-        }
-    } else {
-        std::copy(plan.final_vals.begin(), plan.final_vals.end(),
-                  _last.begin());
-    }
-
-    if (_cfg.skip == SkipMode::None) {
-        // _t_in_block and _last_strobe stay wherever they are: the
-        // opening pulse of the next ticked block reinitializes them.
-        _in_block = false;
-        _received = _cfg.numChunks();
-        std::fill(_next_slot.begin(), _next_slot.end(), waves);
-    } else {
-        _wave_open = false;
-        _wave = waves;
-        _elapsed = plan.final_window;
-        for (unsigned w = 0; w < wires; w++) {
-            _got[w] = plan.final_got[w] != 0;
-            _skipv[w] = plan.final_skipv[w];
-        }
-        _wave_got = plan.final_got_count;
-    }
-
-    _ready = true;
-
-    DESC_TRACE_EVENT(Link, _ticks, "rx: block fast-forwarded (", waves,
-                     " waves)");
-}
-
 BitVec
 DescReceiver::takeBlock()
 {

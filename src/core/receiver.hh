@@ -26,7 +26,6 @@
 #include "common/contract.hh"
 #include "core/config.hh"
 #include "core/adaptive.hh"
-#include "core/fastforward.hh"
 #include "core/toggle.hh"
 #include "core/wires.hh"
 
@@ -39,17 +38,6 @@ class DescReceiver
 
     /** Sample the wire levels of one clock cycle. */
     void observe(const WireBundle &wires);
-
-    /**
-     * Accept @p block in closed form (link fast path): leave the
-     * receiver in exactly the state observing the whole transfer would
-     * have produced. @p final_levels are the transmitter's post-block
-     * wire levels (the detectors' new delayed copies) and @p plan the
-     * summary the transmitter computed. @pre !blockReady().
-     */
-    void fastForwardBlock(const BitVec &block,
-                          const WireBundle &final_levels,
-                          const FastForwardPlan &plan);
 
     /** True once a complete block has been recovered. */
     bool blockReady() const { return _ready; }

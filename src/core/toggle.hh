@@ -27,17 +27,6 @@ class ToggleGenerator
     /** Invert the driven level (send one strobe). */
     void fire() { _level = !_level; }
 
-    /**
-     * Apply @p fires strobes at once: the level a ticked sequence of
-     * that many fire() calls would leave behind (link fast path).
-     */
-    void
-    fastForward(std::uint64_t fires)
-    {
-        if (fires & 1)
-            _level = !_level;
-    }
-
     bool level() const { return _level; }
     void reset() { _level = false; }
 
@@ -60,12 +49,6 @@ class ToggleDetector
         _prev = level;
         return toggled;
     }
-
-    /**
-     * Jump the delayed copy straight to @p level, as if every
-     * intermediate cycle had been sampled (link fast path).
-     */
-    void prime(bool level) { _prev = level; }
 
     void reset() { _prev = false; }
 
@@ -94,12 +77,6 @@ class ToggleGeneratorBank
     {
         _levels.mutableWords()[word] ^= mask;
     }
-
-    /**
-     * Apply a whole transfer's strobes at once: XOR in the per-lane
-     * strobe parity (link fast path).
-     */
-    void fastForward(const WirePlane &odd) { _levels.toggle(odd); }
 
     const WirePlane &levels() const { return _levels; }
     bool level(unsigned lane) const { return _levels[lane]; }
@@ -138,14 +115,6 @@ class ToggleDetectorBank
             prev[i] = in[i];
         }
     }
-
-    /**
-     * Jump every delayed copy straight to @p levels, as if each
-     * intermediate cycle had been sampled (link fast path).
-     */
-    void prime(const WirePlane &levels) { _prev = levels; }
-
-    const WirePlane &delayed() const { return _prev; }
 
     void reset() { _prev.clear(); }
 

@@ -36,7 +36,6 @@
 #include "common/bitvec.hh"
 #include "core/config.hh"
 #include "core/adaptive.hh"
-#include "core/fastforward.hh"
 #include "core/toggle.hh"
 #include "core/wires.hh"
 
@@ -55,15 +54,6 @@ class DescTransmitter
 
     /** Advance one clock cycle, updating the driven wire levels. */
     void tick();
-
-    /**
-     * Transmit @p block in closed form: fill @p plan with the transfer
-     * outcome and leave the transmitter in exactly the state a
-     * loadBlock() followed by ticks to completion would have produced
-     * (wire levels, last-value table, adaptive counters, trace
-     * clock). @pre !busy(); never allocates.
-     */
-    void fastForwardBlock(const BitVec &block, FastForwardPlan &plan);
 
     /** Wire levels after the latest tick. */
     const WireBundle &wires() const { return _wires; }

@@ -35,56 +35,13 @@ class InOrderCore
 {
   public:
     /**
-     * Shared fast-forward arena for cores on one event queue.
-     *
-     * The batch replay absorbs every member core's dispatch and
-     * thread events that are due before the first foreign queued
-     * event and runs them privately in exactly the order the queue
-     * would have — so one core's replay carries its neighbours'
-     * bursts along instead of aborting at them. runSystem() hands
-     * all SMT cores one group; a core constructed without one (unit
-     * tests) batches alone. Members must share an event queue.
-     */
-    struct BatchGroup
-    {
-        /** One absorbed or locally created event awaiting replay. */
-        struct Pending
-        {
-            Cycle when;         //!< cycle the event fires at
-            std::uint64_t lseq; //!< replay order within a cycle
-            InOrderCore *core;
-            int id;             //!< thread id, or kDispatchId
-        };
-
-        std::vector<InOrderCore *> cores;
-        std::vector<Pending> pending;          //!< replay scratch
-        std::vector<const sim::Event *> skip;  //!< peek scratch
-
-        /**
-         * Deterministic replay throttle. A replay only profits when
-         * the window to the first foreign event covers many core
-         * events; on traffic-dense workloads the window is a few
-         * cycles and the absorb/rematerialize churn costs more than
-         * the queue bypass saves. After an unproductive replay the
-         * next 2^backoff seed opportunities take the reference path
-         * directly; a productive one resets the gate. Driven purely
-         * by simulated state, so both (bit-identical) engines remain
-         * interchangeable.
-         */
-        std::uint32_t skip_left = 0;
-        std::uint32_t backoff = 0;
-    };
-
-    /**
      * @param inst_budget retired instructions per thread before the
      *        thread (and eventually the core) reports done
-     * @param group shared fast-forward arena, or nullptr to batch
-     *        alone; ignored under DESC_CORE_MODE=ticked
      */
     InOrderCore(sim::EventQueue &eq, cache::MemHierarchy &mem,
                 unsigned core_id,
                 std::vector<std::unique_ptr<InstructionStream>> threads,
-                std::uint64_t inst_budget, BatchGroup *group = nullptr);
+                std::uint64_t inst_budget);
 
     /** Kick off execution (schedules the first dispatch). */
     void start();
@@ -130,42 +87,9 @@ class InOrderCore
     };
 
     void dispatch();
-    void dispatchRef();
     void scheduleDispatch(Cycle when);
     void threadEvent(ThreadEvent &ev);
-    void threadEventRef(ThreadEvent &ev);
     void onMemDone(unsigned tid);
-
-    /**
-     * Retire one execution burst of @p t: consume the gap to the next
-     * memory op (clamped to the instruction budget), charge the stats
-     * and the fetch countdown. Returns the busy cycles; @p has_mem
-     * says whether the burst ends in the memory op @p op.
-     */
-    Cycle burstStep(Thread &t, MemOp &op, bool &has_mem);
-
-    /**
-     * Fast-forward engine: absorb the batch group's queued events due
-     * before the first foreign event and run them privately in exact
-     * queue order, starting from this core's currently firing event
-     * (@p seed_id: a thread id or kDispatchId). Bails back to the
-     * event queue via materialize() at the first access that is not a
-     * sure L1 hit.
-     */
-    void replay(int seed_id);
-
-    /** Reschedule every pending replay entry back onto the queue in
-     *  original scheduling order (lseq), then clear the batch. */
-    void materialize();
-
-    /** Replay-private scheduleDispatch(): no-op while the core's
-     *  dispatch sits in the queue beyond the window or in pending. */
-    static void pushLocalDispatch(BatchGroup &g, InOrderCore &core,
-                                  Cycle when, std::uint64_t &lseq);
-
-    /** Feed the replay throttle with one replay's executed-event
-     *  count (see BatchGroup::skip_left). */
-    static void noteReplay(BatchGroup &g, unsigned executed);
 
     /** Completion callback waking thread @p tid. */
     cache::DoneCb
@@ -191,31 +115,8 @@ class InOrderCore
 
     CoreStats _stats;
 
-    BatchGroup *_group = nullptr;          //!< null in ticked mode
-    std::unique_ptr<BatchGroup> _own_group; //!< when not sharing one
-
     /** Instructions covered by one I-fetch (one line per 8 insts). */
     static constexpr unsigned kFetchInterval = 8;
-
-    /** Pending::id of a core's dispatch event (thread ids are >= 0). */
-    static constexpr int kDispatchId = -1;
-
-    /** Replay peek horizon; the wheel span, so the peek stays exact
-     *  while run() is migrating far records ahead of the cursor. */
-    static constexpr Cycle kBatchHorizon = 256;
-
-    /** lseq for events created during replay: above any live global
-     *  seq, so they sort after every absorbed event at the same cycle
-     *  — the order fresh schedule() calls would have produced. */
-    static constexpr std::uint64_t kLocalSeqBase = std::uint64_t{1} << 63;
-
-    /** A replay executing fewer events than this is unproductive:
-     *  the bypass saves ~10ns per event against a roughly constant
-     *  peek + absorb + rematerialize cost per attempt. */
-    static constexpr unsigned kReplayMinBatch = 16;
-
-    /** Cap on BatchGroup::backoff (longest skip run: 4096 seeds). */
-    static constexpr std::uint32_t kReplayBackoffCap = 12;
 };
 
 } // namespace desc::cpu

@@ -63,10 +63,6 @@ class OooCore
     void onLoadDone();
     ExecEvent &acquireExec();
 
-    /** Feed the chain throttle with one dispatch's inline-chained
-     *  burst count (see _chain_skip). */
-    void noteChain(unsigned chained);
-
     sim::EventQueue &_eq;
     cache::MemHierarchy &_mem;
     unsigned _core_id;
@@ -76,20 +72,8 @@ class OooCore
     std::uint64_t _retired = 0;
     std::deque<std::uint64_t> _outstanding; //!< inst numbers of loads
     bool _finished = false;
-    bool _fast = false; //!< chain bursts inline (DESC_CORE_MODE)
     std::uint64_t _fetch_countdown = 0;
     Rng _rng;
-
-    /**
-     * Deterministic chain throttle: when recent dispatches could not
-     * chain anything (foreign events land every cycle or so, so the
-     * queue peek is pure overhead), the next 2^_chain_backoff
-     * dispatches skip the peek and run the reference step; a
-     * productive chain resets it. Simulated state only, so the two
-     * bit-identical paths stay interchangeable.
-     */
-    std::uint32_t _chain_skip = 0;
-    std::uint32_t _chain_backoff = 0;
 
     DispatchEvent _dispatch_ev;
     std::deque<ExecEvent> _exec_events; //!< pinned storage
@@ -99,17 +83,6 @@ class OooCore
     static constexpr unsigned kRob = 128;
     static constexpr unsigned kMlp = 8;
     static constexpr unsigned kFetchInterval = 8;
-
-    /** Fast-chain peek horizon; the wheel span keeps the queue peek
-     *  exact while run() migrates far records ahead of the cursor. */
-    static constexpr Cycle kBatchHorizon = 256;
-
-    /** Chains shorter than this are unproductive (the peek cost is
-     *  not recovered); see _chain_skip. */
-    static constexpr unsigned kChainMinBatch = 4;
-
-    /** Cap on _chain_backoff (longest skip run: 4096 dispatches). */
-    static constexpr std::uint32_t kChainBackoffCap = 12;
 
     /** Fraction of loads whose address depends on an in-flight load
      *  (pointer chains); these serialize and expose the L2 hit

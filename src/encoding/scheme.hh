@@ -38,8 +38,8 @@ namespace desc::encoding {
 enum class EncoderMode {
     Auto,    //!< batched where supported (default)
     Scalar,  //!< force the chunk-at-a-time reference loops
-    Batched, //!< batched where supported (same as Auto; named for
-             //!< symmetry with DESC_LINK_MODE forcing)
+    Batched, //!< batched where supported (same as Auto; named so
+             //!< tests can force either engine explicitly)
 };
 
 /**

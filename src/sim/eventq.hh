@@ -163,68 +163,6 @@ class EventQueue
     std::size_t pending() const { return _live; }
 
     /**
-     * First cycle in [now(), horizon) holding a live event, or the
-     * (possibly clamped) horizon if there is none. The horizon is
-     * clamped to the wheel span — beyond it the far heap would have
-     * to be consulted — and to one past the active run(limit), so a
-     * caller fast-forwarding through the returned gap can never skip
-     * an event or cross a segmented-run snapshot boundary. Events
-     * already executed this cycle (including the caller itself) are
-     * stale records and do not count; a pending same-cycle event
-     * makes the answer now() itself.
-     *
-     * A caller that replays its own events privately (the core
-     * fast-forward) passes them in @p skip; they do not count as
-     * pending. A skipped event surfacing as the far-heap top still
-     * clamps the horizon — conservative, never past a live foreign
-     * event.
-     */
-    Cycle
-    nextEventTimeWithin(Cycle horizon,
-                        const Event *const *skip = nullptr,
-                        std::size_t nskip = 0) const
-    {
-        DESC_DCHECK(horizon >= _now, "peek horizon in the past: ",
-                    horizon, " < ", _now);
-        if (horizon - _now > kWheelSpan)
-            horizon = _now + kWheelSpan;
-        if (_run_limit != kNoLimit && _run_limit - _now < horizon - _now)
-            horizon = _run_limit + 1;
-        // During run() every heap record is at least a wheel span out
-        // (migration runs before each slot), so scanning the wheel
-        // alone is exact for any horizon within the span. Outside
-        // run() the heap may still hold near records; its top is a
-        // lower bound on every record in it, so clamping keeps the
-        // answer conservative (never past a live event).
-        if (!_heap.empty() && _heap.top().when - _now < horizon - _now)
-            horizon = _heap.top().when;
-        for (Cycle c = _now; c < horizon; c++) {
-            for (const SlotRec &r : _wheel[c & kWheelMask]) {
-                if (r.ev->_live_seq != r.seq || r.ev->_when != c)
-                    continue;
-                bool skipped = false;
-                for (std::size_t i = 0; i < nskip; i++) {
-                    if (skip[i] == r.ev) {
-                        skipped = true;
-                        break;
-                    }
-                }
-                if (!skipped)
-                    return c;
-            }
-        }
-        return horizon;
-    }
-
-    /**
-     * Scheduling-order token of a live event: its position in the
-     * global same-cycle FIFO. Meaningful only while scheduled(); the
-     * core fast-forward uses it to replay absorbed events in exactly
-     * the order the queue would have run them.
-     */
-    static std::uint64_t seqOf(const Event &ev) { return ev._live_seq; }
-
-    /**
      * Run events until the queue drains or simulated time exceeds
      * @p limit. Returns the number of events executed.
      */
@@ -232,9 +170,6 @@ class EventQueue
     run(Cycle limit = ~Cycle{0})
     {
         std::uint64_t executed = 0;
-        // Published so nextEventTimeWithin() can stop fast-forwarding
-        // components at the segmented-run boundary.
-        _run_limit = limit;
         // The scan cursor walks cycles ahead of _now; _now itself only
         // advances when an event actually executes, so draining stale
         // records never moves simulated time.
@@ -303,7 +238,6 @@ class EventQueue
             slot.resize(keep);
             scan++;
         }
-        _run_limit = kNoLimit;
         return executed;
     }
 
@@ -404,13 +338,10 @@ class EventQueue
         std::vector<Rec> &container() { return c; }
     };
 
-    static constexpr Cycle kNoLimit = ~Cycle{0};
-
     Heap _heap;
     std::vector<Rec> &_store = _heap.container();
     std::array<std::vector<SlotRec>, kWheelSpan> _wheel;
     std::size_t _wheel_recs = 0; //!< records (live + stale) in slots
-    Cycle _run_limit = kNoLimit; //!< active run(limit), for the peek
     Cycle _now = 0;
     std::uint64_t _next_seq = 0;
     std::size_t _live = 0;

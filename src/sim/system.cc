@@ -125,11 +125,6 @@ runSystem(const SystemConfig &cfg)
         }
     }
 
-    // One batch group across all SMT cores: their events interleave
-    // densely, so a per-core fast-forward would bail almost every
-    // time; the shared group lets one replay carry all cores' bursts
-    // up to the first cache/link/DRAM event. (Must outlive the cores.)
-    cpu::InOrderCore::BatchGroup batch_group;
     std::vector<std::unique_ptr<cpu::InOrderCore>> smt_cores;
     std::unique_ptr<cpu::OooCore> ooo_core;
 
@@ -142,8 +137,7 @@ runSystem(const SystemConfig &cfg)
                     cfg.app, values, tid, c, cfg.seed));
             }
             smt_cores.push_back(std::make_unique<cpu::InOrderCore>(
-                eq, mem, c, std::move(streams), cfg.insts_per_thread,
-                &batch_group));
+                eq, mem, c, std::move(streams), cfg.insts_per_thread));
         }
         for (auto &core : smt_cores)
             core->start();

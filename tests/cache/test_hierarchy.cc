@@ -252,7 +252,7 @@ TEST(Hierarchy, EccHierarchyRunsEndToEnd)
 TEST(Hierarchy, LinkBackedDescMatchesBehavioralModel)
 {
     // L2Config::link_backed swaps the behavioral DescScheme for full
-    // cycle-accurate links (fast path). Run the same access pattern
+    // cycle-accurate links. Run the same access pattern
     // through both backings: every reported statistic must agree.
     L2Config base;
     base.scheme = encoding::SchemeKind::DescZeroSkip;

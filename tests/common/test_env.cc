@@ -82,7 +82,7 @@ TEST(EnvRegistry, KnownKnobsAreRegistered)
 {
     EXPECT_STREQ(env::name(env::Var::SimJobs), "DESC_SIM_JOBS");
     EXPECT_STREQ(env::name(env::Var::SimScale), "DESC_SIM_SCALE");
-    EXPECT_STREQ(env::name(env::Var::LinkMode), "DESC_LINK_MODE");
+    EXPECT_STREQ(env::name(env::Var::EncoderMode), "DESC_ENCODER_MODE");
 }
 
 // --- raw access and the lookup counter ----------------------------
@@ -229,14 +229,15 @@ TEST(EnvParse, FloatRejectsNonPositiveAndGarbage)
 TEST(EnvParse, EnumMatchesExactWordsOnly)
 {
     static const env::EnumName kWords[] = {
-        {"auto", 0}, {"ticked", 1}, {"fast", 2}};
-    const auto v = env::Var::LinkMode;
+        {"auto", 0}, {"scalar", 1}, {"batched", 2}};
+    const auto v = env::Var::EncoderMode;
     EXPECT_EQ(env::parseEnum(v, "auto", kWords, 3, 0), 0);
-    EXPECT_EQ(env::parseEnum(v, "ticked", kWords, 3, 0), 1);
-    EXPECT_EQ(env::parseEnum(v, "fast", kWords, 3, 0), 2);
+    EXPECT_EQ(env::parseEnum(v, "scalar", kWords, 3, 0), 1);
+    EXPECT_EQ(env::parseEnum(v, "batched", kWords, 3, 0), 2);
     EXPECT_EQ(env::parseEnum(v, nullptr, kWords, 3, 0), 0);
     EXPECT_EQ(env::parseEnum(v, "", kWords, 3, 0), 0);
-    for (const char *bad : {"AUTO", "Fast", "bogus", "fast ", "tick"}) {
+    for (const char *bad :
+         {"AUTO", "Batched", "bogus", "batched ", "scal"}) {
         EXPECT_EQ(env::parseEnum(v, bad, kWords, 3, 0), 0)
             << "value \"" << bad << '"';
     }

@@ -174,13 +174,13 @@ TEST(ProfScopes, MergedProfileSeesJoinedThreads)
     Profile before = mergedProfile();
     std::thread worker([] {
         for (int i = 0; i < 5; i++) {
-            DESC_PROF_SCOPE(LinkFast);
+            DESC_PROF_SCOPE(LinkTicked);
         }
-        DESC_PROF_CYCLES(LinkFast, 42);
+        DESC_PROF_CYCLES(LinkTicked, 42);
     });
     worker.join(); // orders the worker's writes before the merge read
     Profile after = mergedProfile();
-    const unsigned c = unsigned(Component::LinkFast);
+    const unsigned c = unsigned(Component::LinkTicked);
     EXPECT_EQ(after.comp[c].count - before.comp[c].count, 5u);
     EXPECT_EQ(after.comp[c].cycles - before.comp[c].cycles, 42u);
 }

@@ -4,16 +4,27 @@
  * agree bit-exactly with the cycle-accurate transmitter/receiver pair
  * on cycles, data transitions, and control transitions, across the
  * whole configuration space and across value distributions, and the
- * receiver must always recover the transmitted block.
+ * receiver must always recover the transmitted block. A long lockstep
+ * stream keeps the transmitter's and receiver's skip state in step.
+ *
+ * The second half pins the fast path figure runs take — DescScheme's
+ * batched encoder pass, with the scalar walk as its reference —
+ * against the ticked link, including encoder switches mid-stream, the
+ * ECC bus layouts, and the per-cycle observers only the ticked loop
+ * serves.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hh"
+#include "common/trace.hh"
 #include "core/descscheme.hh"
 #include "core/link.hh"
+#include "ecc/blockcodec.hh"
 
 using namespace desc;
 using namespace desc::core;
@@ -66,7 +77,6 @@ TEST_P(DescEquivalence, BehavioralMatchesCycleAccurate)
 {
     DescConfig cfg = config();
     DescLink link(cfg);
-    link.setMode(LinkMode::Ticked); // validate against the reference loop
     DescScheme scheme(cfg);
     Rng rng(0xec0de + cfg.bus_wires * 31 + cfg.chunk_bits);
 
@@ -96,7 +106,6 @@ TEST_P(DescEquivalence, RandomizedDifferential)
     // reported statistic.
     DescConfig cfg = config();
     DescLink link(cfg);
-    link.setMode(LinkMode::Ticked); // validate against the reference loop
     DescScheme scheme(cfg);
     Rng rng(0xd1ff + cfg.bus_wires * 131 + cfg.chunk_bits * 7
             + unsigned(cfg.skip));
@@ -135,7 +144,6 @@ TEST_P(DescEquivalence, AllZeroAndAllOnesBlocks)
 {
     DescConfig cfg = config();
     DescLink link(cfg);
-    link.setMode(LinkMode::Ticked); // validate against the reference loop
     DescScheme scheme(cfg);
 
     BitVec zeros(kBlockBits);
@@ -155,48 +163,50 @@ TEST_P(DescEquivalence, AllZeroAndAllOnesBlocks)
 
 TEST_P(DescEquivalence, AdaptiveCountersSurviveLongStreams)
 {
-    // The adaptive skip value is pure history: transmitter and
-    // receiver counters must track each other — and the closed-form
-    // fast path must track the ticked loop — across a long run of
-    // consecutive blocks, because one divergent count eventually flips
-    // a best-value decision and corrupts every later transfer.
+    // The skip decision is pure history: the last-value tables and the
+    // adaptive counters carry across transfers, so one mis-updated
+    // entry stays invisible for a while and then flips a best-value
+    // decision. Stream 240 blocks across four value distributions
+    // (the trackers decay and re-learn) and require the behavioral
+    // model to match the ticked link on every block, and the
+    // transmitter's and receiver's skip state to stay in lockstep.
     DescConfig cfg = config();
-    if (cfg.skip != SkipMode::Adaptive)
-        GTEST_SKIP() << "adaptive-mode-only property";
-
-    DescLink fast(cfg);
-    DescLink ticked(cfg);
-    fast.setMode(LinkMode::Fast);
-    ticked.setMode(LinkMode::Ticked);
+    DescLink link(cfg);
+    DescScheme scheme(cfg);
     Rng rng(0xadab + cfg.bus_wires * 3 + cfg.chunk_bits);
 
+    struct Dist
+    {
+        double zero_p;
+        double repeat_p;
+    };
+    const Dist dists[] = {{0.0, 0.0}, {0.7, 0.1}, {0.1, 0.7}, {0.4, 0.4}};
+
     BitVec prev(kBlockBits);
-    for (int i = 0; i < 120; i++) {
-        // Shift the distribution mid-stream so the trackers decay and
-        // re-learn different frequent values.
-        double zero_p = i < 60 ? 0.6 : 0.05;
-        double repeat_p = i < 60 ? 0.1 : 0.6;
-        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, zero_p,
-                                   repeat_p);
-        prev = block;
+    int n = 0;
+    for (const Dist &d : dists) {
+        for (int i = 0; i < 60; i++, n++) {
+            BitVec block =
+                biasedBlock(rng, prev, cfg.chunk_bits, d.zero_p, d.repeat_p);
+            prev = block;
 
-        BitVec recv_f, recv_t;
-        auto rf = fast.transferBlock(block, &recv_f);
-        auto rt = ticked.transferBlock(block, &recv_t);
+            BitVec recv;
+            auto hw = link.transferBlock(block, &recv);
+            auto model = scheme.transfer(block);
 
-        ASSERT_EQ(recv_t, block) << "block " << i;
-        ASSERT_EQ(recv_f, recv_t) << "block " << i;
-        ASSERT_EQ(rf.cycles, rt.cycles) << "block " << i;
-        ASSERT_EQ(rf.data_flips, rt.data_flips) << "block " << i;
-        ASSERT_EQ(rf.control_flips, rt.control_flips) << "block " << i;
-        ASSERT_EQ(rf.skipped, rt.skipped) << "block " << i;
-        ASSERT_TRUE(fast.tx().adaptive() == ticked.tx().adaptive())
-            << "tx adaptive counters diverged at block " << i;
-        ASSERT_TRUE(fast.rx().adaptive() == ticked.rx().adaptive())
-            << "rx adaptive counters diverged at block " << i;
-        ASSERT_TRUE(fast.tx().adaptive() == fast.rx().adaptive())
-            << "tx/rx adaptive counters diverged at block " << i;
+            ASSERT_EQ(recv, block) << "round-trip corruption at block " << n;
+            ASSERT_EQ(model.cycles, hw.cycles) << "block " << n;
+            ASSERT_EQ(model.data_flips, hw.data_flips) << "block " << n;
+            ASSERT_EQ(model.control_flips, hw.control_flips)
+                << "block " << n;
+            ASSERT_EQ(model.skipped, hw.skipped) << "block " << n;
+            ASSERT_EQ(link.tx().lastValues(), link.rx().lastValues())
+                << "tx/rx last-value tables diverged at block " << n;
+            ASSERT_TRUE(link.tx().adaptive() == link.rx().adaptive())
+                << "tx/rx adaptive counters diverged at block " << n;
+        }
     }
+    EXPECT_EQ(n, 240);
 }
 
 TEST_P(DescEquivalence, DataFlipsNeverExceedChunkCount)
@@ -258,82 +268,309 @@ paramName(const ::testing::TestParamInfo<Param> &info)
     return name;
 }
 
-} // namespace
-
-INSTANTIATE_TEST_SUITE_P(
-    ConfigSpace, DescEquivalence,
-    ::testing::Combine(
+/** Every bus width, chunk width and skip mode. */
+auto
+configSpace()
+{
+    return ::testing::Combine(
         ::testing::Values(16u, 32u, 64u, 128u, 256u),
         ::testing::Values(1u, 2u, 4u, 8u),
         ::testing::Values(SkipMode::None, SkipMode::Zero,
-                          SkipMode::LastValue, SkipMode::Adaptive)),
-    paramName);
+                          SkipMode::LastValue, SkipMode::Adaptive));
+}
 
-TEST(TickedFastDrift, NoDriftOver240AdaptiveBlocks)
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(ConfigSpace, DescEquivalence, configSpace(),
+                         paramName);
+
+namespace {
+
+void
+expectSameResult(const encoding::TransferResult &fast,
+                 const encoding::TransferResult &ticked, int block_no)
 {
-    // Long-horizon drift probe for the bit-plane ticked engine: a
-    // Ticked link and a Fast link consume the same 240-block stream
-    // with adaptive trackers live (the skip value of every wave
-    // depends on the whole history), and every reported statistic,
-    // every recovered block, and all persistent state must stay
-    // bit-identical the entire way — one silently mismatched chunk
-    // would compound for the rest of the stream.
-    DescConfig cfg;
-    cfg.bus_wires = 64;
-    cfg.chunk_bits = 4;
-    cfg.block_bits = kBlockBits;
-    cfg.skip = SkipMode::Adaptive;
+    ASSERT_EQ(fast.cycles, ticked.cycles) << "block " << block_no;
+    ASSERT_EQ(fast.data_flips, ticked.data_flips) << "block " << block_no;
+    ASSERT_EQ(fast.control_flips, ticked.control_flips)
+        << "block " << block_no;
+    ASSERT_EQ(fast.skipped, ticked.skipped) << "block " << block_no;
+}
 
+/** The link's endpoints agree on all skip state they carry forward. */
+void
+expectEndpointsInStep(DescLink &link, int block_no)
+{
+    EXPECT_EQ(link.tx().lastValues(), link.rx().lastValues())
+        << "last-value tables, block " << block_no;
+    EXPECT_TRUE(link.tx().adaptive() == link.rx().adaptive())
+        << "adaptive counters, block " << block_no;
+}
+
+} // namespace
+
+/**
+ * The fast path against the ticked loop. Figure runs move every DESC
+ * block through the behavioral DescScheme, which takes the batched
+ * encoder pass where the layout allows and the scalar walk
+ * otherwise; the ticked DescLink is the circuit both stand in for.
+ * Batched and scalar DescScheme must agree with the ticked link on
+ * every TransferResult field, block after block, while the link
+ * recovers every block.
+ */
+class LinkFastPath : public DescEquivalence
+{
+};
+
+TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
+{
+    DescConfig cfg = config();
+    DescScheme fast(cfg);
+    DescScheme scalar(cfg);
     DescLink ticked(cfg);
-    ticked.setMode(LinkMode::Ticked);
-    DescLink fast(cfg);
-    fast.setMode(LinkMode::Fast);
+    fast.setEncoderMode(encoding::EncoderMode::Batched);
+    scalar.setEncoderMode(encoding::EncoderMode::Scalar);
+    ASSERT_FALSE(scalar.usesBatchedPath());
+    Rng rng(0xfa57 + cfg.bus_wires * 131 + cfg.chunk_bits * 7
+            + unsigned(cfg.skip));
 
-    Rng rng(0xd21f7);
     struct Dist
     {
         double zero_p;
         double repeat_p;
     };
+    // uniform, zero-rich, repeat-rich, and mixed traffic
     const Dist dists[] = {{0.0, 0.0}, {0.7, 0.1}, {0.1, 0.7}, {0.4, 0.4}};
 
     BitVec prev(kBlockBits);
     int n = 0;
     for (const Dist &d : dists) {
-        for (int i = 0; i < 60; i++, n++) {
+        for (int i = 0; i < 25; i++, n++) {
             BitVec block =
                 biasedBlock(rng, prev, cfg.chunk_bits, d.zero_p, d.repeat_p);
             prev = block;
 
-            BitVec recv_t, recv_f;
-            auto rt = ticked.transferBlock(block, &recv_t);
-            auto rf = fast.transferBlock(block, &recv_f);
-            ASSERT_FALSE(ticked.usedFastPath());
-            ASSERT_TRUE(fast.usedFastPath());
-
-            ASSERT_EQ(recv_t, block) << "ticked corruption at block " << n;
-            ASSERT_EQ(recv_f, block) << "fast corruption at block " << n;
-            ASSERT_EQ(rt.cycles, rf.cycles) << "block " << n;
-            ASSERT_EQ(rt.data_flips, rf.data_flips) << "block " << n;
-            ASSERT_EQ(rt.control_flips, rf.control_flips) << "block " << n;
-            ASSERT_EQ(rt.skipped, rf.skipped) << "block " << n;
-
-            // All state either engine can carry into the next block.
-            ASSERT_EQ(ticked.tx().wires().data, fast.tx().wires().data)
-                << "block " << n;
-            ASSERT_EQ(ticked.tx().wires().reset_skip,
-                      fast.tx().wires().reset_skip) << "block " << n;
-            ASSERT_EQ(ticked.tx().wires().sync, fast.tx().wires().sync)
-                << "block " << n;
-            ASSERT_EQ(ticked.tx().lastValues(), fast.tx().lastValues())
-                << "block " << n;
-            ASSERT_EQ(ticked.rx().lastValues(), fast.rx().lastValues())
-                << "block " << n;
-            ASSERT_TRUE(ticked.tx().adaptive() == fast.tx().adaptive())
-                << "tx adaptive drift at block " << n;
-            ASSERT_TRUE(ticked.rx().adaptive() == fast.rx().adaptive())
-                << "rx adaptive drift at block " << n;
+            BitVec recv;
+            auto rt = ticked.transferBlock(block, &recv);
+            ASSERT_EQ(recv, block) << "ticked round trip, block " << n;
+            expectSameResult(fast.transfer(block), rt, n);
+            expectSameResult(scalar.transfer(block), rt, n);
+            expectEndpointsInStep(ticked, n);
         }
     }
-    EXPECT_EQ(n, 240);
+}
+
+TEST_P(LinkFastPath, ExtremeBlocks)
+{
+    DescConfig cfg = config();
+    DescScheme fast(cfg);
+    DescScheme scalar(cfg);
+    DescLink ticked(cfg);
+    fast.setEncoderMode(encoding::EncoderMode::Batched);
+    scalar.setEncoderMode(encoding::EncoderMode::Scalar);
+
+    BitVec zeros(kBlockBits);
+    BitVec ones(kBlockBits);
+    ones.invertRange(0, kBlockBits);
+
+    int n = 0;
+    for (const BitVec &block : {zeros, ones, zeros, zeros, ones}) {
+        BitVec recv;
+        auto rt = ticked.transferBlock(block, &recv);
+        ASSERT_EQ(recv, block) << "block " << n;
+        expectSameResult(fast.transfer(block), rt, n);
+        expectSameResult(scalar.transfer(block), rt, n);
+        expectEndpointsInStep(ticked, n);
+        n++;
+    }
+}
+
+TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
+{
+    // Switching the encoder mid-stream converts the wire history
+    // between the byte-per-wire and packed-word forms, so a scheme
+    // that alternates between the two passes must stay
+    // indistinguishable from the ticked link.
+    DescConfig cfg = config();
+    DescScheme mixed(cfg);
+    DescLink ticked(cfg);
+    Rng rng(0x1237 + cfg.bus_wires + cfg.chunk_bits);
+
+    BitVec prev(kBlockBits);
+    for (int i = 0; i < 60; i++) {
+        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.4, 0.3);
+        prev = block;
+
+        const bool scalar_turn = i % 3 == 1;
+        mixed.setEncoderMode(scalar_turn ? encoding::EncoderMode::Scalar
+                                         : encoding::EncoderMode::Batched);
+        if (scalar_turn) {
+            ASSERT_FALSE(mixed.usesBatchedPath()) << "block " << i;
+        }
+
+        BitVec recv;
+        auto rt = ticked.transferBlock(block, &recv);
+        ASSERT_EQ(recv, block) << "block " << i;
+        expectSameResult(mixed.transfer(block), rt, i);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(ConfigSpace, LinkFastPath, configSpace(), paramName);
+
+TEST(LinkFastPathEcc, EccLayoutsMatchTicked)
+{
+    // The ECC bus layouts of Figure 9: the (137,128) and (72,64) codes
+    // widen the bus by the parity chunks, giving non-power-of-two wire
+    // counts and block widths. Stream codec-encoded blocks through the
+    // behavioral model and the ticked link.
+    for (unsigned seg_bits : {128u, 64u}) {
+        ecc::BlockCodec codec(kBlockBits, seg_bits);
+        ASSERT_EQ(codec.totalParityBits() % 4, 0u);
+
+        DescConfig cfg;
+        cfg.chunk_bits = 4;
+        cfg.block_bits = codec.busBits();
+        cfg.bus_wires = 128 + codec.totalParityBits() / 4;
+        cfg.skip = SkipMode::Zero;
+
+        DescLink ticked(cfg);
+        DescScheme fast(cfg);
+        Rng rng(0xecc0 + seg_bits);
+
+        BitVec prev(kBlockBits);
+        BitVec bus;
+        for (int i = 0; i < 30; i++) {
+            BitVec payload = biasedBlock(rng, prev, 4, 0.5, 0.2);
+            prev = payload;
+            codec.encodeInto(payload, bus);
+
+            BitVec recv;
+            auto rt = ticked.transferBlock(bus, &recv);
+            ASSERT_EQ(recv, bus) << "seg " << seg_bits << " block " << i;
+            expectSameResult(fast.transfer(bus), rt, i);
+            expectEndpointsInStep(ticked, i);
+        }
+    }
+}
+
+/*
+ * Per-cycle observers — the wire hook (VCD export), the fault hook
+ * and the link trace channel — exist only on the ticked loop, which
+ * the cache hierarchy drives through L2Config::link_backed. Each
+ * observer must see every cycle and leave the statistics exactly as
+ * the behavioral fast path computes them.
+ */
+
+TEST(LinkFastPathSelect, WireHookForcesTickedLoop)
+{
+    DescConfig cfg;
+    DescLink ticked(cfg);
+    DescScheme fast(cfg);
+    std::vector<Cycle> observed;
+    ticked.setWireHook(
+        [&](Cycle t, const WireBundle &) { observed.push_back(t); });
+    Rng rng(26);
+    Cycle total = 0;
+    for (int i = 0; i < 3; i++) {
+        BitVec block(cfg.block_bits);
+        block.randomize(rng);
+        auto r = ticked.transferBlock(block);
+        expectSameResult(fast.transfer(block), r, i);
+        total += r.cycles;
+        ASSERT_EQ(observed.size(), total) << "block " << i;
+    }
+    // One snapshot per cycle, stamped with the link's monotonic clock.
+    for (Cycle c = 0; c < total; c++)
+        ASSERT_EQ(observed[c], c);
+}
+
+TEST(LinkFastPathSelect, FaultHookForcesTickedLoop)
+{
+    DescConfig cfg;
+    DescLink ticked(cfg);
+    DescScheme fast(cfg);
+    std::vector<Cycle> faulted;
+    ticked.setFaultHook([&](Cycle t, WireBundle &) { faulted.push_back(t); });
+    Rng rng(27);
+    Cycle total = 0;
+    for (int i = 0; i < 3; i++) {
+        BitVec block(cfg.block_bits);
+        block.randomize(rng);
+        BitVec recv;
+        auto r = ticked.transferBlock(block, &recv);
+        ASSERT_EQ(recv, block) << "block " << i;
+        expectSameResult(fast.transfer(block), r, i);
+        total += r.cycles;
+        ASSERT_EQ(faulted.size(), total) << "block " << i;
+    }
+    for (Cycle c = 0; c < total; c++)
+        ASSERT_EQ(faulted[c], c);
+}
+
+TEST(LinkFastPathSelect, LinkTraceChannelForcesTickedLoop)
+{
+    DescConfig cfg;
+    cfg.skip = SkipMode::Zero;
+    DescLink ticked(cfg);
+    DescScheme fast(cfg);
+    Rng rng(28);
+    BitVec block(cfg.block_bits);
+
+    const std::uint32_t saved_mask = trace::mask();
+    std::FILE *out = std::tmpfile();
+    ASSERT_NE(out, nullptr);
+    trace::setStream(out);
+
+    trace::setMask(1u << unsigned(trace::Channel::Link));
+    block.randomize(rng);
+    auto traced = ticked.transferBlock(block);
+    auto model = fast.transfer(block);
+    const long traced_bytes = std::ftell(out);
+
+    trace::setMask(0);
+    block.randomize(rng);
+    auto quiet = ticked.transferBlock(block);
+    auto quiet_model = fast.transfer(block);
+    const long total_bytes = std::ftell(out);
+
+    trace::setStream(nullptr);
+    trace::setMask(saved_mask);
+    std::fclose(out);
+
+    EXPECT_GT(traced_bytes, 0) << "traced transfer emitted nothing";
+    EXPECT_EQ(total_bytes, traced_bytes) << "untraced transfer emitted";
+    expectSameResult(model, traced, 0);
+    expectSameResult(quiet_model, quiet, 1);
+}
+
+TEST(LinkFastPathSelect, NullReceivedPointerWorksOnBothPaths)
+{
+    // received == nullptr drops the recovered block without
+    // materializing it, as the behavioral model always does; results
+    // and endpoint state must match a link that takes every block.
+    DescConfig cfg;
+    cfg.skip = SkipMode::LastValue;
+    DescLink discard(cfg);
+    DescLink keep(cfg);
+    DescScheme fast(cfg);
+    Rng rng(42);
+
+    BitVec prev(cfg.block_bits);
+    for (int i = 0; i < 10; i++) {
+        BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.3, 0.3);
+        prev = block;
+        BitVec recv;
+        auto rd = discard.transferBlock(block); // received == nullptr
+        auto rk = keep.transferBlock(block, &recv);
+        ASSERT_EQ(recv, block) << "block " << i;
+        expectSameResult(rd, rk, i);
+        expectSameResult(fast.transfer(block), rk, i);
+        EXPECT_EQ(discard.tx().wires().data, keep.tx().wires().data)
+            << "block " << i;
+        EXPECT_EQ(discard.tx().lastValues(), keep.tx().lastValues())
+            << "block " << i;
+        EXPECT_EQ(discard.rx().lastValues(), keep.rx().lastValues())
+            << "block " << i;
+        expectEndpointsInStep(discard, i);
+    }
 }

@@ -1,16 +1,12 @@
 /**
  * @file
- * Full-system differential sweep over the batched execution engines.
+ * Full-system differential sweep over the encoder engines.
  *
- * Every fast path in the stack — the instruction-batch core
- * fast-forward, the flattened L2 transaction engine, and the
- * closed-form link — claims bit-identical results to its ticked
- * reference. This suite pins that claim end to end: the core x L2 x
- * link mode cross product over randomized system configurations must
- * produce identical SimResults, byte-identical stats sidecars, and
- * byte-identical run-cache entries. A link-level case additionally
- * streams enough blocks through an adaptive-skip DESC link to expose
- * any tracker drift between the two engines.
+ * The batched encoder passes (DESC_ENCODER_MODE) claim bit-identical
+ * results to the scalar reference walk. This suite pins that claim
+ * end to end: over randomized system configurations, the batched
+ * engine must produce identical SimResults, byte-identical stats
+ * sidecars, and byte-identical run-cache entries.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +18,7 @@
 #include <unistd.h>
 #include <vector>
 
-#include "cache/l2mode.hh"
 #include "common/rng.hh"
-#include "core/link.hh"
-#include "cpu/coremode.hh"
 #include "encoding/scheme.hh"
 #include "sim/runcache.hh"
 #include "sim/statdump.hh"
@@ -36,70 +29,15 @@ using namespace desc::sim;
 
 namespace {
 
-/**
- * One point in the engine cross product. Encoder mode rides along:
- * scalar with the all-reference point, batched elsewhere, so the
- * sweep exercises it without doubling the matrix.
- */
-struct ModePoint
+/** Force one encoder mode for the enclosing scope. */
+struct ForcedEncoder
 {
-    cpu::CoreMode core;
-    cache::L2Mode l2;
-    core::LinkMode link;
-    encoding::EncoderMode encoder;
-    const char *name;
-};
-
-constexpr ModePoint kReference = {cpu::CoreMode::Ticked,
-                                  cache::L2Mode::Event,
-                                  core::LinkMode::Ticked,
-                                  encoding::EncoderMode::Scalar,
-                                  "all-reference"};
-
-const std::vector<ModePoint> &
-fastPoints()
-{
-    using cpu::CoreMode;
-    using cache::L2Mode;
-    using core::LinkMode;
-    using encoding::EncoderMode;
-    static const std::vector<ModePoint> points = {
-        {CoreMode::Fast, L2Mode::Event, LinkMode::Ticked,
-         EncoderMode::Batched, "fast-core"},
-        {CoreMode::Ticked, L2Mode::Flat, LinkMode::Ticked,
-         EncoderMode::Batched, "flat-l2"},
-        {CoreMode::Ticked, L2Mode::Event, LinkMode::Fast,
-         EncoderMode::Batched, "fast-link"},
-        {CoreMode::Fast, L2Mode::Flat, LinkMode::Ticked,
-         EncoderMode::Batched, "fast-core+flat-l2"},
-        {CoreMode::Fast, L2Mode::Event, LinkMode::Fast,
-         EncoderMode::Batched, "fast-core+fast-link"},
-        {CoreMode::Ticked, L2Mode::Flat, LinkMode::Fast,
-         EncoderMode::Batched, "flat-l2+fast-link"},
-        {CoreMode::Fast, L2Mode::Flat, LinkMode::Fast,
-         EncoderMode::Batched, "all-fast"},
-    };
-    return points;
-}
-
-/** Force one point's modes for the enclosing scope. */
-struct ForcedModes
-{
-    explicit ForcedModes(const ModePoint &p)
+    explicit ForcedEncoder(encoding::EncoderMode mode)
     {
-        cpu::setDefaultCoreMode(p.core);
-        cache::setDefaultL2Mode(p.l2);
-        core::setDefaultLinkMode(p.link);
-        encoding::setDefaultEncoderMode(p.encoder);
+        encoding::setDefaultEncoderMode(mode);
     }
 
-    ~ForcedModes()
-    {
-        cpu::setDefaultCoreMode(std::nullopt);
-        cache::setDefaultL2Mode(std::nullopt);
-        core::setDefaultLinkMode(std::nullopt);
-        encoding::setDefaultEncoderMode(std::nullopt);
-    }
+    ~ForcedEncoder() { encoding::setDefaultEncoderMode(std::nullopt); }
 };
 
 /** A fresh private cache directory, removed on destruction. */
@@ -148,8 +86,8 @@ sweepConfigs()
         applyScheme(cfg, schemes[rng.below(std::size(schemes))]);
         cfgs.push_back(cfg);
     }
-    // One OoO point: the fast-core engine has a separate inline-chain
-    // implementation there.
+    // One OoO point: the single-thread core drives a different access
+    // mix through the hierarchy.
     auto ooo = baselineConfig(workloads::findApp("sjeng"));
     ooo.cpu = CpuKind::OutOfOrder;
     ooo.threads_per_core = 1;
@@ -192,79 +130,27 @@ cacheEntryBytes(const SystemConfig &cfg, const AppRun &run)
 TEST(ModeSweep, CrossProductMatchesReferenceByteExactly)
 {
     for (const auto &cfg : sweepConfigs()) {
-        std::optional<AppRun> ref;
+        std::optional<AppRun> ref, got;
         {
-            ForcedModes forced(kReference);
+            ForcedEncoder forced(encoding::EncoderMode::Scalar);
             ref = runScaledApp(scaledConfig(cfg));
         }
+        {
+            ForcedEncoder forced(encoding::EncoderMode::Batched);
+            got = runScaledApp(scaledConfig(cfg));
+        }
+        SCOPED_TRACE(cfg.app.name);
         const std::string ref_json = sidecarJson(cfg, *ref);
         const std::string ref_entry = cacheEntryBytes(cfg, *ref);
         ASSERT_FALSE(ref_json.empty());
         ASSERT_FALSE(ref_entry.empty());
-
-        for (const auto &point : fastPoints()) {
-            std::optional<AppRun> got;
-            {
-                ForcedModes forced(point);
-                got = runScaledApp(scaledConfig(cfg));
-            }
-            SCOPED_TRACE(std::string(cfg.app.name) + " / " + point.name);
-            EXPECT_EQ(got->result.cycles, ref->result.cycles);
-            EXPECT_EQ(got->result.instructions, ref->result.instructions);
-            // The sidecar registry serializes every harvested
-            // statistic (perf, l1/l2, link flips, chunk histogram,
-            // dram, energy), so byte-identical JSON pins them all at
-            // full precision in one comparison.
-            EXPECT_EQ(sidecarJson(cfg, *got), ref_json);
-            EXPECT_EQ(cacheEntryBytes(cfg, *got), ref_entry);
-        }
-    }
-}
-
-TEST(ModeSweep, AdaptiveTrackerDoesNotDriftAcrossLinkEngines)
-{
-    // The adaptive skip tracker carries per-wire saturating counters
-    // across transfers; a fast path that mis-updates them stays
-    // bit-identical for a while and drifts later. Stream well past
-    // the counter saturation horizon and require lockstep equality.
-    core::DescConfig cfg;
-    cfg.bus_wires = 128;
-    cfg.chunk_bits = 4;
-    cfg.skip = core::SkipMode::Adaptive;
-
-    core::DescLink fast(cfg), ticked(cfg);
-    fast.setMode(core::LinkMode::Fast);
-    ticked.setMode(core::LinkMode::Ticked);
-
-    Rng rng(0xada9717eULL);
-    BitVec prev(cfg.block_bits);
-    constexpr int kBlocks = 160; // > 120-block drift horizon
-    for (int b = 0; b < kBlocks; b++) {
-        BitVec block(cfg.block_bits);
-        for (unsigned pos = 0; pos < block.width(); pos += cfg.chunk_bits) {
-            double u = rng.uniform();
-            std::uint64_t v;
-            if (u < 0.4)
-                v = 0;
-            else if (u < 0.7)
-                v = prev.field(pos, cfg.chunk_bits);
-            else
-                v = rng.below(std::uint64_t{1} << cfg.chunk_bits);
-            block.setField(pos, cfg.chunk_bits, v);
-        }
-        prev = block;
-
-        BitVec got_fast(cfg.block_bits), got_ticked(cfg.block_bits);
-        auto rf = fast.transferBlock(block, &got_fast);
-        auto rt = ticked.transferBlock(block, &got_ticked);
-        ASSERT_EQ(rf.cycles, rt.cycles) << "block " << b;
-        ASSERT_EQ(rf.data_flips, rt.data_flips) << "block " << b;
-        ASSERT_EQ(rf.control_flips, rt.control_flips) << "block " << b;
-        ASSERT_EQ(rf.skipped, rt.skipped) << "block " << b;
-        ASSERT_EQ(got_fast, got_ticked) << "block " << b;
-        ASSERT_TRUE(fast.tx().adaptive() == ticked.tx().adaptive())
-            << "tx adaptive counters drifted, block " << b;
-        ASSERT_TRUE(fast.rx().adaptive() == ticked.rx().adaptive())
-            << "rx adaptive counters drifted, block " << b;
+        EXPECT_EQ(got->result.cycles, ref->result.cycles);
+        EXPECT_EQ(got->result.instructions, ref->result.instructions);
+        // The sidecar registry serializes every harvested statistic
+        // (perf, l1/l2, link flips, chunk histogram, dram, energy), so
+        // byte-identical JSON pins them all at full precision in one
+        // comparison.
+        EXPECT_EQ(sidecarJson(cfg, *got), ref_json);
+        EXPECT_EQ(cacheEntryBytes(cfg, *got), ref_entry);
     }
 }

@@ -2,12 +2,12 @@
  * @file
  * Golden-file equivalence suite for the ticked DESC link engine.
  *
- * The cycle-accurate ticked loop is the oracle every fast path is
- * certified against, so its observable output must never drift: these
- * tests replay fixed scenarios (every skip mode, a VCD observer, the
- * link trace channel, and an ECC fault-injection run) and byte-compare
- * the resulting VCD file, trace lines, received blocks, and transfer
- * results against committed golden files.
+ * The cycle-accurate ticked loop is the oracle the behavioral
+ * DescScheme is certified against, so its observable output must
+ * never drift: these tests replay fixed scenarios (every skip mode, a
+ * VCD observer, the link trace channel, and an ECC fault-injection
+ * run) and byte-compare the resulting VCD file, trace lines, received
+ * blocks, and transfer results against committed golden files.
  *
  * The goldens under tests/sim/golden/ were generated from the
  * pre-bit-plane scalar engine; regenerate deliberately (after proving
@@ -105,7 +105,6 @@ runScenario(const Scenario &sc)
                                  + sc.name + ".trace");
 
     DescLink link(sc.cfg);
-    link.setMode(LinkMode::Ticked);
 
     sim::VcdWriter vcd;
     EXPECT_TRUE(vcd.open(vcd_path.string()));
@@ -155,7 +154,6 @@ runScenario(const Scenario &sc)
     for (unsigned i = 0; i < blocks.size(); i++) {
         BitVec recv;
         auto r = link.transferBlock(blocks[i], &recv);
-        EXPECT_FALSE(link.usedFastPath());
         out << "block " << i << ": cycles=" << r.cycles
             << " data_flips=" << r.data_flips
             << " control_flips=" << r.control_flips
@@ -265,7 +263,6 @@ TEST(TickedGolden, EccFaultInjectionStaysCorrectable)
     DescConfig cfg = makeCfg(128 + codec.totalParityBits() / 4, 4,
                              codec.busBits(), SkipMode::None);
     DescLink link(cfg);
-    link.setMode(LinkMode::Ticked);
 
     bool armed = true;
     bool prev = false;
@@ -291,7 +288,6 @@ TEST(TickedGolden, EccFaultInjectionStaysCorrectable)
 
     BitVec recv;
     link.transferBlock(bus, &recv);
-    ASSERT_FALSE(link.usedFastPath());
     ASSERT_NE(recv, bus) << "fault hook did not corrupt the bus word";
     EXPECT_EQ(recv.field(16, 4), 6u) << "delayed toggle should decode +1";
 

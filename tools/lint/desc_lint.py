@@ -57,9 +57,8 @@ HOT_PATH_FILES = [
     "src/common/bitvec.hh",
     "src/core/chunk.cc",
     "src/core/descscheme.cc",
-    # The link fast path and its endpoints: one plan preallocated per
-    # link, closed-form transfers must stay allocation-free.
-    "src/core/fastforward.hh",
+    # The DESC link and its endpoints: per-block transfers must stay
+    # allocation-free.
     "src/core/link.cc",
     "src/core/linkscheme.cc",
     "src/core/transmitter.cc",
@@ -72,13 +71,13 @@ HOT_PATH_FILES = [
     # The batched encoder passes (word-at-a-time SWAR loops).
     "src/encoding/swar.hh",
     "src/encoding/scheme.cc",
-    # The flattened L2 transaction engine: events come from per-bank
-    # pools, block payloads live in the set-associative arrays.
+    # The L2 transaction chain: events come from pools, block
+    # payloads live in the set-associative arrays.
     "src/cache/array.hh",
     "src/cache/blockdata.hh",
     "src/cache/hierarchy.cc",
-    # The instruction-batch core fast-forward: replay/chain loops run
-    # per retired burst and must reuse the cores' own buffers.
+    # The cores: dispatch and burst events run per retired burst and
+    # must reuse the cores' own pooled events.
     "src/cpu/inorder.cc",
     "src/cpu/ooo.cc",
 ]

@@ -1,9 +1,8 @@
 // desc-lint fixture: deliberate violation.
 // Expected findings: hot-path-alloc (naked new/delete in a file the
 // hot-path allocation ban covers, like the batched encoder passes,
-// the flattened L2 transaction engine, or the core fast-forward
-// replay loops). Never compiled; exercised only by
-// desc_lint.py --self-test.
+// the L2 transaction chain, or the core dispatch loops). Never
+// compiled; exercised only by desc_lint.py --self-test.
 
 #include <cstdint>
 
@@ -16,8 +15,8 @@ struct ReplayWindow
 inline ReplayWindow *
 openWindow(unsigned count)
 {
-    // Per-replay scratch must live in the core's own reused buffers,
-    // not come from the allocator once per fast-forwarded batch.
+    // Per-burst scratch must live in the core's own reused buffers,
+    // not come from the allocator once per dispatched burst.
     ReplayWindow *w = new ReplayWindow;
     w->slots = new std::uint64_t[count];
     w->count = count;

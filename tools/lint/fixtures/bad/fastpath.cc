@@ -1,6 +1,6 @@
 // desc-lint fixture: deliberate violation.
 // Expected findings: hot-path-alloc (naked malloc/free in a file the
-// hot-path allocation ban covers, like the link fast-forward path).
+// hot-path allocation ban covers, like the DESC link transfer path).
 // Never compiled; exercised only by desc_lint.py --self-test.
 
 #include <cstdlib>
