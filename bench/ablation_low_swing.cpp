@@ -23,26 +23,37 @@ main()
 {
     auto apps = bench::sweepApps();
 
-    auto evaluate = [&](SchemeKind kind, bool low_swing) {
+    // One batch of four app groups, in the order of the table rows.
+    std::vector<sim::SystemConfig> cfgs;
+    for (bool low_swing : {false, true}) {
+        for (SchemeKind kind :
+             {SchemeKind::Binary, SchemeKind::DescZeroSkip}) {
+            for (const auto &app : apps) {
+                auto cfg = sim::baselineConfig(app);
+                cfg.insts_per_thread = bench::kSweepBudget;
+                sim::applyScheme(cfg, kind);
+                cfg.l2.org.low_swing = low_swing;
+                cfgs.push_back(cfg);
+            }
+        }
+    }
+    const auto runs = bench::runConfigs(cfgs);
+
+    // Summed L2 energy and cycles of app group @p g.
+    auto group = [&](std::size_t g) {
         double e = 0, t = 0;
-        for (const auto &app : apps) {
-            auto cfg = sim::baselineConfig(app);
-            cfg.insts_per_thread = bench::kSweepBudget;
-            sim::applyScheme(cfg, kind);
-            cfg.l2.org.low_swing = low_swing;
-            auto run = sim::runApp(cfg);
+        for (std::size_t a = 0; a < apps.size(); a++) {
+            const auto &run = runs[g * apps.size() + a];
             e += run.l2.total();
             t += double(run.result.cycles);
         }
         return std::make_pair(e, t);
     };
 
-    auto [bin_fs_e, bin_fs_t] = evaluate(SchemeKind::Binary, false);
-    auto [desc_fs_e, desc_fs_t] =
-        evaluate(SchemeKind::DescZeroSkip, false);
-    auto [bin_ls_e, bin_ls_t] = evaluate(SchemeKind::Binary, true);
-    auto [desc_ls_e, desc_ls_t] =
-        evaluate(SchemeKind::DescZeroSkip, true);
+    auto [bin_fs_e, bin_fs_t] = group(0);
+    auto [desc_fs_e, desc_fs_t] = group(1);
+    auto [bin_ls_e, bin_ls_t] = group(2);
+    auto [desc_ls_e, desc_ls_t] = group(3);
 
     Table t({"interconnect", "scheme", "L2 energy (norm)",
              "exec time (norm)"});

@@ -10,7 +10,6 @@
 #include "benchutil.hh"
 
 using namespace desc;
-using encoding::SchemeKind;
 
 int
 main()
@@ -18,23 +17,27 @@ main()
     auto apps = bench::sweepApps();
     const unsigned n = encoding::kNumSchemes;
 
-    double base_total = 0;
-    std::vector<double> stat(n, 0.0), dyn(n, 0.0);
+    // One batch, scheme-major: run s * apps.size() + a.
+    std::vector<sim::SystemConfig> cfgs;
     for (unsigned s = 0; s < n; s++) {
-        SchemeKind kind = core::allSchemeKinds()[s];
-        std::fprintf(stderr, "scheme %s\n",
-                     sim::shortSchemeName(kind).c_str());
         for (const auto &app : apps) {
             auto cfg = sim::baselineConfig(app);
             cfg.insts_per_thread = bench::kSweepBudget;
-            sim::applyScheme(cfg, kind);
-            auto run = sim::runApp(cfg);
+            sim::applyScheme(cfg, core::allSchemeKinds()[s]);
+            cfgs.push_back(cfg);
+        }
+    }
+    const auto runs = bench::runConfigs(cfgs);
+
+    std::vector<double> stat(n, 0.0), dyn(n, 0.0);
+    for (unsigned s = 0; s < n; s++) {
+        for (std::size_t a = 0; a < apps.size(); a++) {
+            const auto &run = runs[s * apps.size() + a];
             stat[s] += run.l2.static_energy;
             dyn[s] += run.l2.dynamic();
         }
-        if (s == 0)
-            base_total = stat[0] + dyn[0];
     }
+    const double base_total = stat[0] + dyn[0];
 
     Table t({"scheme", "static (norm)", "dynamic (norm)",
              "total (norm)"});

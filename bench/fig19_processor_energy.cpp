@@ -16,15 +16,21 @@ main()
     Table t({"app", "L2 share", "other units share", "total (norm)"});
     std::vector<double> totals;
 
+    // One batch of (binary, ZS-DESC) pairs: runs 2a and 2a + 1.
+    std::vector<sim::SystemConfig> cfgs;
     for (const auto &app : apps) {
-        std::fprintf(stderr, "  running %s...\n", app.name);
         auto base_cfg = sim::baselineConfig(app);
         base_cfg.insts_per_thread = bench::kAppBudget;
-        auto base = sim::runApp(base_cfg);
+        cfgs.push_back(base_cfg);
+        sim::applyScheme(base_cfg, encoding::SchemeKind::DescZeroSkip);
+        cfgs.push_back(base_cfg);
+    }
+    const auto runs = bench::runConfigs(cfgs);
 
-        auto desc_cfg = base_cfg;
-        sim::applyScheme(desc_cfg, encoding::SchemeKind::DescZeroSkip);
-        auto with_desc = sim::runApp(desc_cfg);
+    for (std::size_t a = 0; a < apps.size(); a++) {
+        const auto &app = apps[a];
+        const auto &base = runs[2 * a];
+        const auto &with_desc = runs[2 * a + 1];
 
         double base_total = base.processor.total();
         double l2_share = with_desc.l2.total() / base_total;

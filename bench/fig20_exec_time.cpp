@@ -9,7 +9,6 @@
 #include "benchutil.hh"
 
 using namespace desc;
-using encoding::SchemeKind;
 
 int
 main()
@@ -17,16 +16,23 @@ main()
     const auto &apps = workloads::parallelApps();
     const unsigned n = encoding::kNumSchemes;
 
-    std::vector<std::vector<double>> cycles(n);
+    // One batch, scheme-major: run s * apps.size() + a.
+    std::vector<sim::SystemConfig> cfgs;
     for (unsigned s = 0; s < n; s++) {
-        SchemeKind kind = core::allSchemeKinds()[s];
-        std::fprintf(stderr, "scheme %s\n",
-                     sim::shortSchemeName(kind).c_str());
         for (const auto &app : apps) {
             auto cfg = sim::baselineConfig(app);
             cfg.insts_per_thread = bench::kAppBudget;
-            sim::applyScheme(cfg, kind);
-            cycles[s].push_back(double(sim::runApp(cfg).result.cycles));
+            sim::applyScheme(cfg, core::allSchemeKinds()[s]);
+            cfgs.push_back(cfg);
+        }
+    }
+    const auto runs = bench::runConfigs(cfgs);
+
+    std::vector<std::vector<double>> cycles(n);
+    for (unsigned s = 0; s < n; s++) {
+        for (std::size_t a = 0; a < apps.size(); a++) {
+            cycles[s].push_back(
+                double(runs[s * apps.size() + a].result.cycles));
         }
     }
 

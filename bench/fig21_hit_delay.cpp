@@ -28,21 +28,32 @@ main()
     };
 
     const auto &apps = workloads::parallelApps();
-    std::vector<std::vector<double>> delay(4);
-    for (unsigned c = 0; c < 4; c++) {
-        std::fprintf(stderr, "config %s\n", configs[c].name);
+    // One batch, config-major: run c * apps.size() + a.
+    std::vector<sim::SystemConfig> cfgs;
+    for (const Config &config : configs) {
         for (const auto &app : apps) {
             auto cfg = sim::baselineConfig(app);
             cfg.insts_per_thread = bench::kAppBudget;
-            sim::applyScheme(cfg, configs[c].kind);
-            cfg.l2.org.bus_wires = configs[c].wires;
-            cfg.l2.scheme_cfg.bus_wires = configs[c].wires;
-            delay[c].push_back(sim::runApp(cfg).result.avgHitDelay());
+            sim::applyScheme(cfg, config.kind);
+            cfg.l2.org.bus_wires = config.wires;
+            cfg.l2.scheme_cfg.bus_wires = config.wires;
+            cfgs.push_back(cfg);
+        }
+    }
+    const auto runs = bench::runConfigs(cfgs);
+
+    std::vector<std::vector<double>> delay(4);
+    for (unsigned c = 0; c < 4; c++) {
+        for (std::size_t a = 0; a < apps.size(); a++) {
+            delay[c].push_back(
+                runs[c * apps.size() + a].result.avgHitDelay());
         }
     }
 
-    Table t({"app", "64-bit Binary", "128-bit Binary", "64-bit DESC",
-             "128-bit DESC"});
+    std::vector<std::string> cols = {"app"};
+    for (const Config &config : configs)
+        cols.push_back(config.name);
+    Table t(cols);
     for (std::size_t a = 0; a < apps.size(); a++) {
         t.row().add(apps[a].name);
         for (unsigned c = 0; c < 4; c++)

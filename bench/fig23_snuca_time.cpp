@@ -32,12 +32,20 @@ int
 main()
 {
     const auto &apps = workloads::parallelApps();
+    // One batch of (binary, ZS-DESC) pairs: runs 2a and 2a + 1.
+    std::vector<sim::SystemConfig> cfgs;
+    for (const auto &app : apps) {
+        cfgs.push_back(snucaConfig(app, false));
+        cfgs.push_back(snucaConfig(app, true));
+    }
+    const auto runs = bench::runConfigs(cfgs);
+
     Table t({"app", "exec time (norm)"});
     std::vector<double> norms;
-    for (const auto &app : apps) {
-        std::fprintf(stderr, "  running %s...\n", app.name);
-        auto base = sim::runApp(snucaConfig(app, false));
-        auto with_desc = sim::runApp(snucaConfig(app, true));
+    for (std::size_t a = 0; a < apps.size(); a++) {
+        const auto &app = apps[a];
+        const auto &base = runs[2 * a];
+        const auto &with_desc = runs[2 * a + 1];
         double norm = double(with_desc.result.cycles)
             / double(base.result.cycles);
         norms.push_back(norm);

@@ -31,13 +31,21 @@ int
 main()
 {
     const auto &apps = workloads::parallelApps();
+    // One batch of (binary, ZS-DESC) pairs: runs 2a and 2a + 1.
+    std::vector<sim::SystemConfig> cfgs;
+    for (const auto &app : apps) {
+        cfgs.push_back(snucaConfig(app, false));
+        cfgs.push_back(snucaConfig(app, true));
+    }
+    const auto runs = bench::runConfigs(cfgs);
+
     Table t({"app", "L2 energy (norm)", "L2 power (norm)",
              "EDP (norm)"});
     std::vector<double> e_norms, p_norms, edp_norms;
-    for (const auto &app : apps) {
-        std::fprintf(stderr, "  running %s...\n", app.name);
-        auto base = sim::runApp(snucaConfig(app, false));
-        auto with_desc = sim::runApp(snucaConfig(app, true));
+    for (std::size_t a = 0; a < apps.size(); a++) {
+        const auto &app = apps[a];
+        const auto &base = runs[2 * a];
+        const auto &with_desc = runs[2 * a + 1];
         double e = with_desc.l2.total() / base.l2.total();
         double time_ratio = double(with_desc.result.cycles)
             / double(base.result.cycles);

@@ -47,18 +47,28 @@ main()
     };
 
     const auto &apps = workloads::parallelApps();
+    // One batch, config-major: run c * apps.size() + a.
+    std::vector<sim::SystemConfig> cfgs;
+    for (const Config &config : configs) {
+        for (const auto &app : apps) {
+            cfgs.push_back(eccConfig(app, config.kind, config.wires,
+                                     config.segment));
+        }
+    }
+    const auto runs = bench::runConfigs(cfgs);
+
     std::vector<std::vector<double>> cycles(4);
     for (unsigned c = 0; c < 4; c++) {
-        std::fprintf(stderr, "config %s\n", configs[c].name);
-        for (const auto &app : apps) {
-            auto cfg = eccConfig(app, configs[c].kind, configs[c].wires,
-                                 configs[c].segment);
-            cycles[c].push_back(double(sim::runApp(cfg).result.cycles));
+        for (std::size_t a = 0; a < apps.size(); a++) {
+            cycles[c].push_back(
+                double(runs[c * apps.size() + a].result.cycles));
         }
     }
 
-    Table t({"app", "64-64 Binary", "128-128 Binary", "128-64 DESC",
-             "128-128 DESC"});
+    std::vector<std::string> cols = {"app"};
+    for (const Config &config : configs)
+        cols.push_back(config.name);
+    Table t(cols);
     std::vector<std::vector<double>> norm(4);
     for (std::size_t a = 0; a < apps.size(); a++) {
         t.row().add(apps[a].name);

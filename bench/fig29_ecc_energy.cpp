@@ -46,18 +46,26 @@ main()
     };
 
     const auto &apps = workloads::parallelApps();
-    std::vector<std::vector<double>> energy(4);
-    for (unsigned c = 0; c < 4; c++) {
-        std::fprintf(stderr, "config %s\n", configs[c].name);
+    // One batch, config-major: run c * apps.size() + a.
+    std::vector<sim::SystemConfig> cfgs;
+    for (const Config &config : configs) {
         for (const auto &app : apps) {
-            auto cfg = eccConfig(app, configs[c].kind, configs[c].wires,
-                                 configs[c].segment);
-            energy[c].push_back(sim::runApp(cfg).l2.total());
+            cfgs.push_back(eccConfig(app, config.kind, config.wires,
+                                     config.segment));
         }
     }
+    const auto runs = bench::runConfigs(cfgs);
 
-    Table t({"app", "64-64 Binary", "128-128 Binary", "128-64 DESC",
-             "128-128 DESC"});
+    std::vector<std::vector<double>> energy(4);
+    for (unsigned c = 0; c < 4; c++) {
+        for (std::size_t a = 0; a < apps.size(); a++)
+            energy[c].push_back(runs[c * apps.size() + a].l2.total());
+    }
+
+    std::vector<std::string> cols = {"app"};
+    for (const Config &config : configs)
+        cols.push_back(config.name);
+    Table t(cols);
     std::vector<std::vector<double>> norm(4);
     for (std::size_t a = 0; a < apps.size(); a++) {
         t.row().add(apps[a].name);

@@ -15,21 +15,25 @@ int
 main()
 {
     const auto &apps = workloads::specApps();
-    Table t({"app", "exec time (norm)"});
-    std::vector<double> norms;
-
+    // One batch of (binary, ZS-DESC) pairs: runs 2a and 2a + 1.
+    std::vector<sim::SystemConfig> cfgs;
     for (const auto &app : apps) {
-        std::fprintf(stderr, "  running %s...\n", app.name);
         auto base_cfg = sim::baselineConfig(app);
         base_cfg.cpu = sim::CpuKind::OutOfOrder;
         base_cfg.threads_per_core = 1;
         base_cfg.insts_per_thread = 4 * bench::kAppBudget;
-        auto base = sim::runApp(base_cfg);
+        cfgs.push_back(base_cfg);
+        sim::applyScheme(base_cfg, encoding::SchemeKind::DescZeroSkip);
+        cfgs.push_back(base_cfg);
+    }
+    const auto runs = bench::runConfigs(cfgs);
 
-        auto desc_cfg = base_cfg;
-        sim::applyScheme(desc_cfg, encoding::SchemeKind::DescZeroSkip);
-        auto with_desc = sim::runApp(desc_cfg);
-
+    Table t({"app", "exec time (norm)"});
+    std::vector<double> norms;
+    for (std::size_t a = 0; a < apps.size(); a++) {
+        const auto &app = apps[a];
+        const auto &base = runs[2 * a];
+        const auto &with_desc = runs[2 * a + 1];
         double norm = double(with_desc.result.cycles)
             / double(base.result.cycles);
         norms.push_back(norm);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 using namespace desc;
 
@@ -34,9 +35,11 @@ main(int argc, char **argv)
     const char *app_name = argc > 1 ? argv[1] : "MG";
     const auto &app = workloads::findApp(app_name);
 
+    // Collect the whole sweep, then run it as one parallel batch.
     std::vector<Point> points;
-    auto evaluate = [&](encoding::SchemeKind kind, unsigned banks,
-                        unsigned wires, unsigned chunk) {
+    std::vector<sim::SystemConfig> cfgs;
+    auto add = [&](encoding::SchemeKind kind, unsigned banks,
+                   unsigned wires, unsigned chunk) {
         sim::SystemConfig cfg = sim::baselineConfig(app);
         cfg.insts_per_thread = 20'000;
         sim::applyScheme(cfg, kind);
@@ -44,25 +47,27 @@ main(int argc, char **argv)
         cfg.l2.org.bus_wires = wires;
         cfg.l2.scheme_cfg.bus_wires = wires;
         cfg.l2.scheme_cfg.chunk_bits = chunk;
-        auto run = sim::runApp(cfg);
+        cfgs.push_back(cfg);
         char label[96];
         std::snprintf(label, sizeof(label), "%-8s b=%-3u w=%-3u c=%u",
                       sim::shortSchemeName(kind).c_str(), banks, wires,
                       chunk);
-        points.push_back(Point{label, run.l2.total() * 1e6,
-                               double(run.result.cycles), false});
-        std::fprintf(stderr, ".");
+        points.push_back(Point{label, 0.0, 0.0, false});
     };
 
     for (unsigned banks : {4u, 8u, 16u}) {
         for (unsigned wires : {64u, 128u}) {
-            evaluate(encoding::SchemeKind::Binary, banks, wires, 4);
+            add(encoding::SchemeKind::Binary, banks, wires, 4);
             for (unsigned chunk : {2u, 4u})
-                evaluate(encoding::SchemeKind::DescZeroSkip, banks,
-                         wires, chunk);
+                add(encoding::SchemeKind::DescZeroSkip, banks, wires,
+                    chunk);
         }
     }
-    std::fprintf(stderr, "\n");
+    const auto runs = sim::globalRunner().run(cfgs);
+    for (std::size_t i = 0; i < points.size(); i++) {
+        points[i].energy = runs[i].l2.total() * 1e6;
+        points[i].time = double(runs[i].result.cycles);
+    }
 
     // Pareto frontier: no other point is better in both dimensions.
     for (auto &p : points) {

@@ -17,6 +17,7 @@
 #include "core/link.hh"
 #include "encoding/binary.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 
 using namespace desc;
 
@@ -59,11 +60,13 @@ main()
 
     sim::SystemConfig base = sim::baselineConfig(app);
     base.insts_per_thread = 40'000;
-    auto binary_run = sim::runApp(base);
-
     sim::SystemConfig with_desc = base;
     sim::applyScheme(with_desc, encoding::SchemeKind::DescZeroSkip);
-    auto desc_run = sim::runApp(with_desc);
+
+    // Both points run in parallel on the shared worker pool.
+    const auto runs = sim::globalRunner().run({base, with_desc});
+    const sim::AppRun &binary_run = runs[0];
+    const sim::AppRun &desc_run = runs[1];
 
     std::printf("FFT on the 8-core machine (8MB L2, LSTP devices):\n");
     std::printf("  %-18s %12s %14s %14s\n", "scheme", "cycles",

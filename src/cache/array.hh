@@ -4,8 +4,8 @@
  *
  * Storage is struct-of-arrays: the packed tag+valid words of a set sit
  * contiguously (a 4-way probe reads 32 bytes — one cache line of the
- * host), with the LRU stamps and the wide per-line metadata in
- * parallel arrays that only hit and maintenance paths touch. Lines are
+ * host), with the LRU stamps and the per-line metadata in parallel
+ * arrays that only hit and maintenance paths touch. Lines are
  * addressed by a stable integer Way handle (set * assoc + way).
  */
 
@@ -21,22 +21,8 @@
 namespace desc::cache {
 
 /**
- * Tag/recency image of a whole array: everything a freshly built
- * array needs to reproduce a functionally warmed-up state whose
- * lines still carry default-constructed metadata. The warmup
- * snapshot cache (sim/system.cc) keys these on the warmup inputs so
- * repeated runs of one configuration skip the prefill walk.
- */
-struct TagImage
-{
-    std::vector<std::uint64_t> tagv;
-    std::vector<std::uint64_t> lru;
-    std::uint64_t clock = 0;
-};
-
-/**
  * Tag/state storage for one cache level. Meta carries the
- * level-specific payload (coherence state, dirty bit, data, ...).
+ * level-specific line state (coherence state, dirty bit, L1 data, ...).
  */
 template <typename Meta>
 class SetAssocArray
@@ -58,9 +44,6 @@ class SetAssocArray
         const std::size_t lines = std::size_t(_sets) * assoc;
         _tagv.assign(lines, 0);
         _lru.assign(lines, 0);
-        // Default-construct (not copy-fill) the metadata: a Meta that
-        // leaves bulk payload members uninitialized then skips the
-        // touch of every line's payload here.
         _meta.resize(lines);
     }
 
@@ -180,28 +163,6 @@ class SetAssocArray
             if (valid(way))
                 fn(way);
         }
-    }
-
-    /** Capture the tag/valid words, LRU stamps, and LRU clock. Line
-     *  metadata is not captured: a snapshot is only meaningful while
-     *  every valid line still has default-constructed Meta (as after
-     *  a pure prefill), which restoreTagImage() reestablishes being
-     *  applied to a freshly constructed array. */
-    TagImage
-    tagImage() const
-    {
-        return {_tagv, _lru, _clock};
-    }
-
-    /** Restore a tagImage() capture onto a same-geometry array. */
-    void
-    restoreTagImage(const TagImage &img)
-    {
-        DESC_ASSERT(img.tagv.size() == _tagv.size(),
-                    "tag image from a different geometry");
-        _tagv = img.tagv;
-        _lru = img.lru;
-        _clock = img.clock;
     }
 
   private:

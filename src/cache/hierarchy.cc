@@ -42,6 +42,7 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
     : _eq(eq), _cfg(l2cfg), _energy_model(l2cfg.org), _backing(backing),
       _dram(eq, dram_cfg),
       _l2(l2cfg.org.capacity_bytes, l2cfg.org.assoc, l2cfg.org.block_bytes),
+      _l2_slot(std::size_t(_l2.numSets()) * _l2.assoc(), kNoSlot),
       _scratch(0), _scratch_raw(l2cfg.scheme_cfg.block_bits),
       _chunk_stats(l2cfg.scheme_cfg.chunk_bits == 0
                        ? 4
@@ -164,7 +165,7 @@ MemHierarchy::evictL1Victim(unsigned core, L1Array &l1, Addr addr,
             _stats.l2_writebacks_in.inc();
             if (l2way != L2Array::kNoWay) {
                 L2Meta &lm = _l2.meta(l2way);
-                lm.data = vm.data;
+                l2Slot(l2way) = vm.data;
                 lm.dirty = true;
                 lm.virgin = false;
             }
@@ -202,10 +203,11 @@ MemHierarchy::recallForShared(L2Array::Way way, Addr addr,
         DESC_TRACE_EVENT(Cache, _eq.now(),
                          "coherence recall: owner core ", owner,
                          " addr 0x", std::hex, addr, std::dec);
-        lm.data = l1m.data;
+        Block512 &data = l2Slot(way);
+        data = l1m.data;
         lm.dirty = true;
         lm.virgin = false;
-        *ready = transfer(bankOf(addr), lm.data, true, earliest);
+        *ready = transfer(bankOf(addr), data, true, earliest);
         return true;
     }
     return false;
@@ -228,10 +230,11 @@ MemHierarchy::invalidateSharers(L2Array::Way way, Addr addr,
             L1Meta &l1m = _l1d[c].meta(l1way);
             if (l1m.state == MesiState::Modified) {
                 _stats.recalls.inc();
-                lm.data = l1m.data;
+                Block512 &data = l2Slot(way);
+                data = l1m.data;
                 lm.dirty = true;
                 lm.virgin = false;
-                *ready = transfer(bankOf(addr), lm.data, true, earliest);
+                *ready = transfer(bankOf(addr), data, true, earliest);
                 recalled = true;
             }
             _l1d[c].invalidate(l1way);
@@ -492,8 +495,7 @@ MemHierarchy::finishMiss(Addr addr)
         _l2.invalidate(v);
     }
     _l2.fill(v, addr);
-    _l2.meta(v).data = mem;
-    _l2.meta(v).dirty = false;
+    l2Slot(v) = mem;
     _stats.l2_fills.inc();
 
     // Fill the data array through the bank's write port; the reply to
@@ -534,7 +536,7 @@ MemHierarchy::prefill(Addr addr)
         return m.sharers != 0 || m.owner != kNoOwner;
     });
     if (_l2.valid(v) && _l2.meta(v).dirty)
-        _backing.store(_l2.addrOf(v), _l2.meta(v).data);
+        _backing.store(_l2.addrOf(v), l2Data(v));
     _l2.invalidate(v);
     _l2.fill(v, addr);
     // Tag-only install: the payload stays virgin until the first read
@@ -548,27 +550,23 @@ const Block512 &
 MemHierarchy::l2Data(L2Array::Way way)
 {
     L2Meta &m = _l2.meta(way);
+    Block512 &data = l2Slot(way);
     if (m.virgin) {
-        m.data = _backing.fetch(_l2.addrOf(way));
+        data = _backing.fetch(_l2.addrOf(way));
         m.virgin = false;
     }
-    return m.data;
+    return data;
 }
 
-MemHierarchy::WarmupState
-MemHierarchy::warmupSnapshot() const
+Block512 &
+MemHierarchy::l2Slot(L2Array::Way way)
 {
-    return {_l2.tagImage()};
-}
-
-void
-MemHierarchy::restoreWarmup(const WarmupState &w)
-{
-    _l2.restoreTagImage(w.l2);
-    // A pure prefill() sequence leaves every valid line as a clean,
-    // unshared, virgin install; the fresh array's default metadata
-    // covers everything but the virgin flag.
-    _l2.forEach([this](L2Array::Way way) { _l2.meta(way).virgin = true; });
+    std::uint32_t &slot = _l2_slot[way];
+    if (slot == kNoSlot) {
+        slot = std::uint32_t(_l2_pool.size());
+        _l2_pool.emplace_back();
+    }
+    return _l2_pool[slot];
 }
 
 std::optional<Cycle>

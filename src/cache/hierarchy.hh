@@ -185,23 +185,9 @@ class MemHierarchy
      */
     void prefill(Addr addr);
 
-    /**
-     * Capture of the post-prefill L2 state, cheap to reapply. Valid
-     * only for a hierarchy that has seen nothing but prefill() calls:
-     * every valid line is then a clean, unshared, virgin install, so
-     * tags + recency are the whole state.
-     */
-    struct WarmupState
-    {
-        TagImage l2;
-    };
-
-    WarmupState warmupSnapshot() const;
-
-    /** Reapply a snapshot to a freshly constructed hierarchy (same
-     *  geometry); equivalent to re-running the prefill() sequence the
-     *  snapshot was taken after. */
-    void restoreWarmup(const WarmupState &w);
+    /** Blocks in the L2 payload pool: one per way whose payload was
+     *  ever written or materialized (tests). */
+    std::size_t l2PayloadBlocks() const { return _l2_pool.size(); }
 
   private:
     struct L1Meta
@@ -210,24 +196,23 @@ class MemHierarchy
         Block512 data{};
     };
 
+    /**
+     * L2 line state. The payload is not here: it lives in the pool
+     * (_l2_pool), so the array stays a few bytes per line and
+     * resident payload grows with the lines a run touches.
+     */
     struct L2Meta
     {
-        /** User-provided so that constructing the (multi-megabyte)
-         *  L2 array does not zero every payload: data stays
-         *  indeterminate until a fill, writeback, or l2Data()
-         *  materialization writes the whole block. */
-        L2Meta() {}
-
         bool dirty = false;
         std::uint8_t sharers = 0; //!< DL1 sharer bitmap
         std::uint8_t owner = kNoOwner;
-        /** Prefilled line whose payload was never materialized: data
-         *  is still default and must be loaded from the backing store
-         *  before the first read (see l2Data()). Cleared by any
-         *  full-block write. */
+        /** Prefilled line whose payload was never materialized: it
+         *  must be loaded from the backing store before the first
+         *  read (see l2Data()). Cleared by any full-block write. */
         bool virgin = false;
-        Block512 data;
     };
+    static_assert(sizeof(L2Meta) <= 8,
+                  "L2 line state must stay a few bytes per line");
 
     static constexpr std::uint8_t kNoOwner = 0xff;
 
@@ -331,10 +316,18 @@ class MemHierarchy
     /**
      * The payload of L2 line @p way, materializing a virgin prefill
      * from the backing store first. Every read of L2 data must come
-     * through here; full-block writes instead clear the virgin flag
-     * at the write site.
+     * through here; full-block writes go through l2Slot() and clear
+     * the virgin flag at the write site.
      */
     const Block512 &l2Data(L2Array::Way way);
+
+    /**
+     * The pool block of L2 way @p way, assigned on the way's first
+     * use and kept across refills. It holds whatever the way last
+     * stored, so callers either overwrite the whole block or read it
+     * through l2Data().
+     */
+    Block512 &l2Slot(L2Array::Way way);
 
     void accessEvent(AccessEvent &ev);
     void tagProbe(TagProbeEvent &ev);
@@ -368,6 +361,16 @@ class MemHierarchy
     std::vector<L1Array> _l1d;
     L2Array _l2;
     std::vector<Bank> _banks;
+
+    /**
+     * L2 payloads: a block pool, and per way the index of its pool
+     * block (kNoSlot until the way's first payload write or
+     * materialization). A deque, so growth neither moves blocks that
+     * l2Data() references point at nor over-allocates by doubling.
+     */
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+    std::deque<Block512> _l2_pool;
+    std::vector<std::uint32_t> _l2_slot;
 
     /**
      * MSHRs as an index-stable pool plus a small active list. The

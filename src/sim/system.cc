@@ -1,12 +1,9 @@
 #include "sim/system.hh"
 
-#include <array>
-#include <map>
+#include <algorithm>
 #include <memory>
-#include <mutex>
 
 #include "common/contract.hh"
-#include "common/env.hh"
 #include "cpu/inorder.hh"
 #include "cpu/ooo.hh"
 #include "sim/timeseries.hh"
@@ -15,56 +12,6 @@
 #include "workloads/valuemodel.hh"
 
 namespace desc::sim {
-
-namespace {
-
-/**
- * Warmup snapshot cache. The post-prefill L2 tag state is a pure
- * function of the cache geometry, the thread count, and the workload
- * region sizes — data values never enter it (installs are virgin),
- * so neither the scheme nor the seed belongs in the key. Sweeps such
- * as the figure runners simulate hundreds of points over a handful
- * of such tuples; replaying the ~100k-block prefill walk for each
- * one is pure overhead, so the first run of a tuple captures the
- * resulting tag image and later runs reapply it. Guarded by a mutex
- * for multi-threaded runners; DESC_WARMUP_CACHE=0 disables.
- */
-using WarmupKey = std::array<std::uint64_t, 7>;
-
-constexpr std::size_t kWarmupCacheCap = 16;
-
-std::mutex warmup_mutex;
-std::map<WarmupKey, std::shared_ptr<const cache::MemHierarchy::WarmupState>>
-    warmup_cache;
-
-bool
-warmupCacheEnabled()
-{
-    static const bool enabled =
-        env::enabledNotZero(env::Var::WarmupCache);
-    return enabled;
-}
-
-std::shared_ptr<const cache::MemHierarchy::WarmupState>
-warmupCacheFind(const WarmupKey &key)
-{
-    std::lock_guard<std::mutex> lock(warmup_mutex);
-    auto it = warmup_cache.find(key);
-    return it == warmup_cache.end() ? nullptr : it->second;
-}
-
-void
-warmupCacheInsert(const WarmupKey &key,
-                  cache::MemHierarchy::WarmupState &&state)
-{
-    auto shared = std::make_shared<const cache::MemHierarchy::WarmupState>(
-        std::move(state));
-    std::lock_guard<std::mutex> lock(warmup_mutex);
-    if (warmup_cache.size() < kWarmupCacheCap)
-        warmup_cache.emplace(key, std::move(shared));
-}
-
-} // namespace
 
 SimResult
 runSystem(const SystemConfig &cfg)
@@ -86,42 +33,26 @@ runSystem(const SystemConfig &cfg)
         unsigned threads = cfg.cpu == CpuKind::OutOfOrder
             ? 1
             : cfg.cores * cfg.threads_per_core;
-        const WarmupKey key = {cfg.l2.org.capacity_bytes,
-                               cfg.l2.org.block_bytes,
-                               cfg.l2.org.assoc,
-                               threads,
-                               cfg.app.hot_bytes,
-                               cfg.app.ws_shared,
-                               cfg.app.ws_private};
-        auto snap = warmupCacheEnabled() ? warmupCacheFind(key) : nullptr;
-        if (snap) {
-            mem.restoreWarmup(*snap);
-        } else {
-            std::uint64_t budget_blocks =
-                cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
-            for (unsigned t = 0; t < threads && budget_blocks > 0; t++) {
-                Addr base = workloads::AppStream::hotBase(t);
-                for (Addr a = 0;
-                     a < cfg.app.hot_bytes && budget_blocks > 0;
-                     a += 64, budget_blocks--) {
-                    mem.prefill(base + a);
-                }
+        std::uint64_t budget_blocks =
+            cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
+        for (unsigned t = 0; t < threads && budget_blocks > 0; t++) {
+            Addr base = workloads::AppStream::hotBase(t);
+            for (Addr a = 0; a < cfg.app.hot_bytes && budget_blocks > 0;
+                 a += 64, budget_blocks--) {
+                mem.prefill(base + a);
             }
-            std::uint64_t shared_blocks =
-                std::min<std::uint64_t>(cfg.app.ws_shared / 64,
-                                        budget_blocks / 2);
-            for (Addr a = 0; a < shared_blocks; a++)
-                mem.prefill(workloads::AppStream::sharedBase() + a * 64);
-            budget_blocks -= shared_blocks;
-            std::uint64_t priv_blocks = std::min<std::uint64_t>(
-                cfg.app.ws_private / 64, budget_blocks / threads);
-            for (unsigned t = 0; t < threads; t++) {
-                Addr base = workloads::AppStream::privateBase(t);
-                for (Addr a = 0; a < priv_blocks; a++)
-                    mem.prefill(base + a * 64);
-            }
-            if (warmupCacheEnabled())
-                warmupCacheInsert(key, mem.warmupSnapshot());
+        }
+        std::uint64_t shared_blocks = std::min<std::uint64_t>(
+            cfg.app.ws_shared / 64, budget_blocks / 2);
+        for (Addr a = 0; a < shared_blocks; a++)
+            mem.prefill(workloads::AppStream::sharedBase() + a * 64);
+        budget_blocks -= shared_blocks;
+        std::uint64_t priv_blocks = std::min<std::uint64_t>(
+            cfg.app.ws_private / 64, budget_blocks / threads);
+        for (unsigned t = 0; t < threads; t++) {
+            Addr base = workloads::AppStream::privateBase(t);
+            for (Addr a = 0; a < priv_blocks; a++)
+                mem.prefill(base + a * 64);
         }
     }
 

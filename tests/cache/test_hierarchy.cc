@@ -1,7 +1,8 @@
 /**
  * @file
  * Integration tests for the memory hierarchy: hit/miss timing,
- * transfer accounting, MSHR merging, warmup, and ECC wiring.
+ * transfer accounting, MSHR merging, warmup, ECC wiring, and the L2
+ * payload pool.
  */
 
 #include <gtest/gtest.h>
@@ -340,4 +341,94 @@ TEST(Hierarchy, UpgradeOnSharedStoreInvalidatesPeers)
     auto before = f.mem->stats().l1d_misses.value();
     f.read(1, 0x9000);
     EXPECT_EQ(f.mem->stats().l1d_misses.value(), before + 1);
+}
+
+// --- L2 payload pool --------------------------------------------------
+
+namespace {
+
+/** A 64KB direct-mapped L2: addresses 64KB apart share one line. */
+L2Config
+directMappedL2()
+{
+    L2Config cfg;
+    cfg.org.capacity_bytes = 64 * 1024;
+    cfg.org.assoc = 1;
+    return cfg;
+}
+
+constexpr Addr kLineA = 0x10000;
+constexpr Addr kLineB = kLineA + 64 * 1024; //!< same L2 line as A
+
+/** Store @p value into word 0 of @p addr on core 0, then push the
+ *  Modified copy out of core 0's DL1 (16KB, 4-way: 4KB strides hit
+ *  one L1 set, but distinct L2 lines) so the L2 line goes dirty. */
+void
+dirtyL2ByWriteback(Fixture &f, Addr addr, std::uint64_t value)
+{
+    f.write(0, addr, value);
+    for (Addr k = 1; k <= 4; k++)
+        f.read(0, addr + k * 4096);
+    ASSERT_EQ(f.mem->stats().l2_writebacks_in.value(), 1u);
+}
+
+} // namespace
+
+TEST(HierarchyPayloadPool, WarmupPrefillMaterializesNoPayload)
+{
+    Fixture f;
+    const Addr lines = f.cfg.org.capacity_bytes / 64;
+    for (Addr i = 0; i < lines; i++)
+        f.mem->prefill(i * 64);
+    EXPECT_EQ(f.mem->l2PayloadBlocks(), 0u);
+
+    // The first read materializes exactly the line it touches.
+    f.read(0, 5 * 64);
+    EXPECT_EQ(f.mem->stats().l2_hits.value(), 1u);
+    EXPECT_EQ(f.mem->l2PayloadBlocks(), 1u);
+}
+
+TEST(HierarchyPayloadPool, RefilledWayKeepsSlotButNotData)
+{
+    Fixture f(directMappedL2());
+    dirtyL2ByWriteback(f, kLineA, 0xdead);
+    const auto blocks = f.mem->l2PayloadBlocks();
+
+    // B misses into A's way: A's dirty payload goes to memory.
+    f.read(1, kLineB);
+    EXPECT_EQ(f.mem->stats().l2_evictions_out.value(), 1u);
+    EXPECT_EQ(f.backing.stores, 1u);
+    const Block512 a = f.backing.fetch(kLineA);
+    EXPECT_EQ(a[0], 0xdeadull);
+    for (unsigned w = 1; w < 8; w++)
+        EXPECT_EQ(a[w], kLineA * 31 + w);
+    // The way reused its pool block.
+    EXPECT_EQ(f.mem->l2PayloadBlocks(), blocks);
+
+    // Dirty B in core 1, then evict it through the same way: what
+    // reaches memory is B's own data plus the store, none of A's.
+    f.write(1, kLineB + 8, 0xbeef);
+    f.read(1, kLineB + 64 * 1024);
+    EXPECT_EQ(f.backing.stores, 2u);
+    const Block512 b = f.backing.fetch(kLineB);
+    EXPECT_EQ(b[0], kLineB * 31);
+    EXPECT_EQ(b[1], 0xbeefull);
+    for (unsigned w = 2; w < 8; w++)
+        EXPECT_EQ(b[w], kLineB * 31 + w);
+}
+
+TEST(HierarchyPayloadPool, PrefillOverDirtyLineWritesPayloadBack)
+{
+    Fixture f(directMappedL2());
+    dirtyL2ByWriteback(f, kLineA, 0xdead);
+    EXPECT_EQ(f.backing.stores, 0u);
+
+    f.mem->prefill(kLineB);
+    EXPECT_EQ(f.backing.stores, 1u);
+    EXPECT_EQ(f.backing.fetch(kLineA)[0], 0xdeadull);
+
+    // The prefilled line is a lazy install that still hits.
+    f.read(1, kLineB);
+    EXPECT_EQ(f.mem->stats().l2_misses.value(), 5u); // A + 4 strides
+    EXPECT_EQ(f.mem->stats().l2_hits.value(), 1u);
 }

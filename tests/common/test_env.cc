@@ -85,6 +85,13 @@ TEST(EnvRegistry, KnownKnobsAreRegistered)
     EXPECT_STREQ(env::name(env::Var::EncoderMode), "DESC_ENCODER_MODE");
 }
 
+TEST(EnvRegistry, KnobCountIsPinned)
+{
+    // A new knob is a new code path: adding (or dropping) one must
+    // update this count deliberately.
+    EXPECT_EQ(env::kNumVars, 15u);
+}
+
 // --- raw access and the lookup counter ----------------------------
 
 TEST(EnvRegistry, RawIsReadThrough)

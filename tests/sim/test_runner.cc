@@ -11,6 +11,8 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <unistd.h>
 
@@ -202,6 +204,90 @@ TEST(Runner, PreservesSubmissionOrder)
             << "slot " << i;
         expectBitIdentical(runs[i], runApp(cfgs[i]));
     }
+}
+
+namespace {
+
+/** A figure-shaped batch in the harnesses' own order: Figure 28's
+ *  four SECDED (W, S) points on two apps, then a Figure 30
+ *  out-of-order binary/ZS-DESC pair. Budgets are cut for test time. */
+std::vector<SystemConfig>
+figureBatch()
+{
+    using encoding::SchemeKind;
+    struct Ecc
+    {
+        SchemeKind kind;
+        unsigned wires, segment;
+    };
+    const Ecc eccs[] = {{SchemeKind::Binary, 64, 64},
+                        {SchemeKind::Binary, 128, 128},
+                        {SchemeKind::DescZeroSkip, 128, 64},
+                        {SchemeKind::DescZeroSkip, 128, 128}};
+    std::vector<SystemConfig> cfgs;
+    for (const Ecc &e : eccs) {
+        for (const char *app : {"FFT", "Ocean"}) {
+            auto cfg = tinyConfig(app);
+            applyScheme(cfg, e.kind);
+            cfg.l2.org.bus_wires = e.wires;
+            cfg.l2.scheme_cfg.bus_wires = e.wires;
+            cfg.l2.ecc = true;
+            cfg.l2.ecc_segment_bits = e.segment;
+            cfgs.push_back(cfg);
+        }
+    }
+    auto ooo = baselineConfig(workloads::specApps().front());
+    ooo.cpu = CpuKind::OutOfOrder;
+    ooo.threads_per_core = 1;
+    ooo.insts_per_thread = 4000;
+    cfgs.push_back(ooo);
+    applyScheme(ooo, SchemeKind::DescZeroSkip);
+    cfgs.push_back(ooo);
+    return cfgs;
+}
+
+/** The run-cache serialization of @p run: it carries every AppRun
+ *  field, so equal bytes mean equal runs. */
+std::string
+entryBytes(const AppRun &run)
+{
+    TempCacheDir tmp;
+    RunCache(tmp.dir).store(0, run);
+    for (const auto &entry :
+         std::filesystem::directory_iterator(tmp.dir)) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        return bytes.str();
+    }
+    ADD_FAILURE() << "run cache stored no entry";
+    return {};
+}
+
+} // namespace
+
+TEST(Runner, FigureBatchIsIdenticalAcrossJobCounts)
+{
+    NoCache nc;
+    const auto cfgs = figureBatch();
+
+    Runner serial(1);
+    Runner parallel(4);
+    const auto a = serial.run(cfgs);
+    const auto b = parallel.run(cfgs);
+
+    ASSERT_EQ(a.size(), cfgs.size());
+    ASSERT_EQ(b.size(), cfgs.size());
+    for (std::size_t i = 0; i < cfgs.size(); i++) {
+        SCOPED_TRACE(i);
+        expectBitIdentical(a[i], b[i]);
+        const std::string bytes = entryBytes(a[i]);
+        EXPECT_FALSE(bytes.empty());
+        EXPECT_EQ(bytes, entryBytes(b[i]));
+    }
+    // The batch really exercised the codec and the OoO core.
+    EXPECT_GT(a.front().result.hierarchy.read_transfers.value(), 0u);
+    EXPECT_EQ(a.back().result.instructions, 4000u);
 }
 
 TEST(Runner, EmptyBatchReturnsEmpty)

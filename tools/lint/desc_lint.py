@@ -34,6 +34,10 @@ Enforces repo invariants the compiler cannot see:
   contract-include   files using DESC_ASSERT/DESC_DCHECK/
                      DESC_UNREACHABLE include common/contract.hh
                      directly, not transitively
+  serial-harness     no sim::runApp() call under bench/ — a harness
+                     builds its whole config list and submits it as
+                     one batch (bench::runConfigs / runAllApps), so
+                     every figure runs on the shared worker pool
 
 Usage:
   desc_lint.py [--root DIR]     lint the tree (exit 1 on findings)
@@ -82,7 +86,7 @@ HOT_PATH_FILES = [
     "src/cpu/ooo.cc",
 ]
 
-SRC_EXTENSIONS = {".cc", ".hh"}
+SRC_EXTENSIONS = {".cc", ".cpp", ".hh"}
 
 
 class Finding:
@@ -423,6 +427,18 @@ def check_contract_include(root, rel, text, code, findings):
             f"common/contract.hh"))
 
 
+SERIAL_RUN_RE = re.compile(r"(?<![\w.])(?:\w+\s*::\s*)*runApp\s*\(")
+
+
+def check_serial_harness(root, rel, text, code, findings):
+    for m in SERIAL_RUN_RE.finditer(code):
+        findings.append(Finding(
+            "serial-harness", rel, line_of(code, m.start()),
+            "one-at-a-time runApp() in a bench harness: collect the "
+            "configs and run them as one batch through "
+            "bench::runConfigs or bench::runAllApps"))
+
+
 PER_FILE_CHECKS = [
     check_hot_path_alloc,
     check_env_registry,
@@ -438,6 +454,9 @@ PER_FILE_CHECKS = [
 # for toolchains without libclang; a build that has the AST checks
 # passes --without-ast-superseded to retire the duplicates.
 AST_SUPERSEDED_CHECKS = [check_hot_path_alloc]
+
+# Checks for the figure harnesses under bench/.
+BENCH_CHECKS = [check_serial_harness]
 
 
 def active_checks(ast_superseded=True):
@@ -460,6 +479,11 @@ def lint(root, subdir="src", ast_superseded=True):
             check(root, rel, text, code, findings)
     check_trace_channels(root, findings, sources)
     check_prof_components(root, findings, sources)
+    for path in iter_source(root, "bench"):
+        rel = path.relative_to(root).as_posix()
+        text = path.read_text()
+        for check in BENCH_CHECKS:
+            check(root, rel, text, strip_comments(text), findings)
     return findings
 
 
@@ -478,6 +502,7 @@ FIXTURE_EXPECT = {
     "fixtures/bad/profiling.cc": {"prof-component"},
     "fixtures/bad/entropy.cc": {"determinism", "test-include"},
     "fixtures/bad/envknob.cc": {"env-registry"},
+    "fixtures/bad/serial_harness.cpp": {"serial-harness"},
     "fixtures/good/clean.hh": set(),
 }
 
@@ -503,7 +528,7 @@ def self_test(tool_root, repo_root):
     for path, rel, text, code in sources:
         # Fixture headers use src/-style guard expectations relative to
         # their fixture name, so point the guard check at the rel path.
-        for check in PER_FILE_CHECKS:
+        for check in PER_FILE_CHECKS + BENCH_CHECKS:
             if check is check_hot_path_alloc:
                 # Treat every bad fixture as a hot-path file.
                 if "bad/" in rel:
