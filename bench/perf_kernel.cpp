@@ -1,7 +1,7 @@
 /**
  * @file
- * Simulation-kernel microbenchmarks: event-queue throughput, link and
- * scheme block rates, and end-to-end simulated-cycle rate. Writes
+ * Simulation-kernel microbenchmarks: event-queue throughput, link,
+ * scheme and ECC block rates, and end-to-end simulated-cycle rate. Writes
  * BENCH_kernel.json (see README); the committed copy of that file is
  * the CI regression baseline.
  *
@@ -22,6 +22,7 @@
 #include "core/chunk.hh"
 #include "core/descscheme.hh"
 #include "core/link.hh"
+#include "ecc/blockcodec.hh"
 #include "encoding/scheme.hh"
 #include "sim/eventq.hh"
 #include "sim/experiment.hh"
@@ -234,6 +235,27 @@ benchChunkStats(std::uint64_t blocks_n)
     return double(blocks_n) / dt;
 }
 
+double
+benchEcc(std::uint64_t blocks_n)
+{
+    // The interleaved (137,128) SECDED encode every ECC transfer pays.
+    ecc::BlockCodec codec(kBlockBits, 128);
+    auto blocks = makeBlocks(4);
+    BitVec bus;
+    std::uint64_t sink = 0;
+    auto t0 = Clock::now();
+    auto reads = envReads();
+    for (std::uint64_t i = 0; i < blocks_n; i++) {
+        codec.encodeInto(blocks[i & 63], bus);
+        sink += bus.words().back();
+    }
+    double dt = secondsSince(t0);
+    assertNoEnvReads(reads, "ecc kernel");
+    if (sink == 0)
+        std::fprintf(stderr, "impossible\n");
+    return double(blocks_n) / dt;
+}
+
 sim::SystemConfig
 benchSystemConfig(std::uint64_t insts)
 {
@@ -347,6 +369,7 @@ main(int argc, char **argv)
     std::uint64_t link_ticked_n = quick ? 2'000 : 20'000;
     std::uint64_t scheme_n = quick ? 20'000 : 200'000;
     std::uint64_t stats_n = quick ? 20'000 : 200'000;
+    std::uint64_t ecc_n = quick ? 20'000 : 200'000;
     std::uint64_t insts = quick ? 1'000 : 3'000;
     unsigned reps = quick ? 1 : 5;
 
@@ -361,6 +384,8 @@ main(int argc, char **argv)
     std::fprintf(stderr, "scheme:    %12.0f blocks/sec\n", scheme);
     double cstats = benchChunkStats(stats_n);
     std::fprintf(stderr, "chunkstats:%12.0f blocks/sec\n", cstats);
+    double ecc_rate = benchEcc(ecc_n);
+    std::fprintf(stderr, "ecc:       %12.0f blocks/sec\n", ecc_rate);
     std::uint64_t cycles = 0;
     double rs = benchRunSystem(insts, reps, &cycles);
     std::fprintf(stderr, "runsystem: %12.0f sim-cycles/sec (%llu cycles)\n",
@@ -397,6 +422,7 @@ main(int argc, char **argv)
         "    \"link_ticked_vcd_blocks_per_sec\": %.0f,\n"
         "    \"scheme_blocks_per_sec\": %.0f,\n"
         "    \"chunkstats_blocks_per_sec\": %.0f,\n"
+        "    \"ecc_blocks_per_sec\": %.0f,\n"
         "    \"runsystem_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_ticked_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_prof_overhead_pct\": %.3f\n"
@@ -404,7 +430,7 @@ main(int argc, char **argv)
         "  \"check\": { \"runsystem_cycles\": %llu }\n"
         "}\n",
         quick ? "true" : "false", ev, link_ticked, link_vcd,
-        scheme, cstats, rs, rs_ticked, prof_pct,
+        scheme, cstats, ecc_rate, rs, rs_ticked, prof_pct,
         (unsigned long long)cycles);
     std::fclose(f);
     return 0;

@@ -12,11 +12,19 @@
  * and stays correctable, and two corrupted chunks stay detectable.
  * Parity bits are appended to the block in the same interleaved order,
  * forming the parity chunks carried by the extra ECC wires.
+ *
+ * Because segment = g mod S and S divides 64, every segment owns the
+ * same bit lanes of every 64-bit word. The codec therefore computes
+ * all segments' parities at once: one block-wide mask per Hamming
+ * parity bit selects the data bits that feed it, and XOR-folding the
+ * masked words from 64 lanes down to S leaves segment s's parity in
+ * lane s. That S-bit word is exactly the bus's parity chunk layout.
  */
 
 #ifndef DESC_ECC_BLOCKCODEC_HH
 #define DESC_ECC_BLOCKCODEC_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "common/bitvec.hh"
@@ -28,9 +36,11 @@ class BlockCodec
 {
   public:
     /**
-     * @param block_bits        payload block size (512)
+     * @param block_bits        payload block size (512); a multiple
+     *                          of 64
      * @param segment_data_bits data bits per protected segment
-     *                          (64 or 128 in the paper)
+     *                          (64 or 128 in the paper); the segment
+     *                          count must be a power of two <= 64
      */
     BlockCodec(unsigned block_bits, unsigned segment_data_bits);
 
@@ -56,9 +66,9 @@ class BlockCodec
     BitVec encode(const BitVec &block) const;
 
     /**
-     * encode() into a caller-owned bus word (resized on first use),
-     * reusing internal segment scratch — no allocations in steady
-     * state. This is the hierarchy's per-transfer path.
+     * encode() into a caller-owned bus word (resized on first use);
+     * no allocations in steady state. This is the hierarchy's
+     * per-transfer path.
      */
     void encodeInto(const BitVec &block, BitVec &bus) const;
 
@@ -78,12 +88,30 @@ class BlockCodec
     DecodeResult decode(const BitVec &bus) const;
 
   private:
-    unsigned _block_bits;
-    unsigned _segment_data_bits;
-    unsigned _num_segments;
-    SecdedCode _code;
+    /** XOR lanes congruent mod S together; lane s ends up in bit s. */
+    std::uint64_t fold(std::uint64_t x) const;
 
-    mutable BitVec _seg_scratch; //!< reused encodeInto segment gather
+    /**
+     * Parity bit @p p of every segment, one lane per segment: the
+     * fold of the block's words under mask M_p. For p equal to the
+     * Hamming parity count this is the parity of the data bits alone.
+     */
+    std::uint64_t maskedParity(const std::uint64_t *block,
+                               unsigned p) const;
+
+    SecdedCode _code; //!< first: validates segment_data_bits >= 1
+    unsigned _block_bits;
+    unsigned _num_segments;
+    unsigned _block_words;    //!< block_bits / 64
+    std::uint64_t _lane_mask; //!< low S bits set
+
+    /**
+     * One block-wide mask per Hamming parity bit p, _block_words
+     * words each: bit g is set when data bit g / S of its segment
+     * sits at a Hamming position with bit p set. A last all-ones
+     * mask feeds the overall parity.
+     */
+    std::vector<std::uint64_t> _masks;
 };
 
 } // namespace desc::ecc

@@ -1,7 +1,5 @@
 #include "ecc/hamming.hh"
 
-#include <bit>
-
 #include "common/contract.hh"
 #include "common/log.hh"
 
@@ -57,48 +55,25 @@ SecdedCode::SecdedCode(unsigned data_bits)
     DESC_ASSERT(di == data_bits, "position table construction bug");
 }
 
-std::uint64_t
-SecdedCode::encodeParityWord(const BitVec &data) const
-{
-    DESC_ASSERT(data.width() == _data_bits, "payload width mismatch");
-
-    // Syndrome contribution of the data bits; only set bits
-    // contribute, so walk the packed words bit-by-set-bit.
-    unsigned syndrome = 0;
-    unsigned ones = 0;
-    const auto &words = data.words();
-    for (std::size_t w = 0; w < words.size(); w++) {
-        std::uint64_t word = words[w];
-        while (word) {
-            unsigned i = unsigned(w * 64) + unsigned(std::countr_zero(word));
-            syndrome ^= _data_pos[i];
-            ones++;
-            word &= word - 1;
-        }
-    }
-
-    std::uint64_t parity = 0;
-    unsigned parity_ones = 0;
-    for (unsigned p = 0; p < _parity_bits; p++) {
-        bool bit = (syndrome >> p) & 1;
-        parity |= std::uint64_t(bit) << p;
-        parity_ones += bit;
-    }
-    parity |= std::uint64_t((ones + parity_ones) & 1) << _parity_bits;
-    return parity;
-}
-
 BitVec
 SecdedCode::encode(const BitVec &data) const
 {
+    DESC_ASSERT(data.width() == _data_bits, "payload width mismatch");
+
     // Codeword layout: data bits first, Hamming parity bits next,
     // overall parity last (systematic layout keeps the stored data
     // in standard binary format, as Section 3.2.3 requires).
-    std::uint64_t parity = encodeParityWord(data);
     BitVec code(codeBits());
-    for (unsigned i = 0; i < _data_bits; i++)
-        code.setBit(i, data.bit(i));
-    code.setField(_data_bits, parityBits(), parity);
+    unsigned syndrome = 0;
+    for (unsigned i = 0; i < _data_bits; i++) {
+        if (data.bit(i)) {
+            code.setBit(i, true);
+            syndrome ^= _data_pos[i];
+        }
+    }
+    for (unsigned p = 0; p < _parity_bits; p++)
+        code.setBit(_data_bits + p, (syndrome >> p) & 1);
+    code.setBit(codeBits() - 1, code.popcount() & 1);
     return code;
 }
 
@@ -140,9 +115,9 @@ SecdedCode::decode(const BitVec &codeword) const
     if (!parity_ok) {
         // Single error at Hamming position `syndrome`.
         result.status = EccStatus::Corrected;
-        unsigned total = _data_bits + _parity_bits;
-        if (syndrome <= total && _pos_data[syndrome] != ~0u)
-            result.data.flipBit(_pos_data[syndrome]);
+        const unsigned i = dataIndexAt(syndrome);
+        if (i != ~0u)
+            result.data.flipBit(i);
         // Errors in parity positions leave the data intact.
         return result;
     }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/bitvec.hh"
+#include "common/contract.hh"
 
 namespace desc::ecc {
 
@@ -44,16 +45,29 @@ class SecdedCode
     /** Total codeword length (e.g.\ 72 or 137). */
     unsigned codeBits() const { return _data_bits + parityBits(); }
 
-    /** Encode a payload into a codeword (data first, parity after). */
-    BitVec encode(const BitVec &data) const;
+    /** Hamming parity bits alone (parityBits() less the overall). */
+    unsigned hammingParityBits() const { return _parity_bits; }
+
+    /** 1-based Hamming position of data bit @p i. */
+    unsigned
+    dataPosition(unsigned i) const
+    {
+        DESC_DCHECK(i < _data_bits, "data bit ", i, " of ", _data_bits);
+        return _data_pos[i];
+    }
 
     /**
-     * The parity bits alone — Hamming parity in the low bits, the
-     * overall parity above them — packed into one integer. This is
-     * the allocation-free path the block codec uses; encode() is
-     * equivalent to payload-copy + depositing this word.
+     * Data bit at Hamming position @p pos, or ~0u when @p pos holds a
+     * parity bit or lies past the codeword (an uncorrectable syndrome).
      */
-    std::uint64_t encodeParityWord(const BitVec &data) const;
+    unsigned
+    dataIndexAt(unsigned pos) const
+    {
+        return pos < _pos_data.size() ? _pos_data[pos] : ~0u;
+    }
+
+    /** Encode a payload into a codeword (data first, parity after). */
+    BitVec encode(const BitVec &data) const;
 
     struct DecodeResult
     {

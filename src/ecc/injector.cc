@@ -16,6 +16,9 @@ flipRandomBit(BitVec &bus, Rng &rng)
 unsigned
 corruptChunk(BitVec &bus, unsigned chunk, unsigned chunk_bits, Rng &rng)
 {
+    // 1 << chunk_bits must stay a defined, non-zero draw range.
+    DESC_ASSERT(chunk_bits >= 1 && chunk_bits <= 63,
+                "chunk of ", chunk_bits, " bits outside [1, 63]");
     DESC_ASSERT((chunk + 1) * chunk_bits <= bus.width(),
                 "chunk out of range");
     std::uint64_t old = bus.field(chunk * chunk_bits, chunk_bits);

@@ -24,6 +24,7 @@ unsigned flipRandomBit(BitVec &bus, Rng &rng);
 /**
  * Corrupt chunk @p chunk of the bus word to a different random value
  * (DESC-signaling fault). Returns the number of bits that changed.
+ * @pre 1 <= chunk_bits <= 63
  */
 unsigned corruptChunk(BitVec &bus, unsigned chunk, unsigned chunk_bits,
                       Rng &rng);

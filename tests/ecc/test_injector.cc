@@ -63,3 +63,11 @@ TEST(Injector, RandomChunkCoversTheWholeBus)
     for (bool s : seen)
         EXPECT_TRUE(s);
 }
+
+TEST(InjectorDeathTest, ChunkWidthMustFitTheDrawRange)
+{
+    Rng rng(25);
+    BitVec bus(128);
+    EXPECT_DEATH(corruptChunk(bus, 0, 64, rng), "outside \\[1, 63\\]");
+    EXPECT_DEATH(corruptChunk(bus, 0, 0, rng), "outside \\[1, 63\\]");
+}
