@@ -56,6 +56,9 @@ schemeThroughput(benchmark::State &state, SchemeKind kind)
 
 BENCHMARK_CAPTURE(schemeThroughput, binary, SchemeKind::Binary);
 BENCHMARK_CAPTURE(schemeThroughput, bus_invert, SchemeKind::BusInvert);
+BENCHMARK_CAPTURE(schemeThroughput, zs_bic, SchemeKind::ZeroSkipBusInvert);
+BENCHMARK_CAPTURE(schemeThroughput, ezs_bic,
+                  SchemeKind::EncodedZeroSkipBusInvert);
 BENCHMARK_CAPTURE(schemeThroughput, dzc,
                   SchemeKind::DynamicZeroCompression);
 BENCHMARK_CAPTURE(schemeThroughput, desc_zero_skip,

@@ -1,7 +1,8 @@
 /**
  * @file
  * Simulation-kernel microbenchmarks: event-queue throughput, link,
- * scheme and ECC block rates, and end-to-end simulated-cycle rate. Writes
+ * scheme, bus-invert and ECC block rates, and end-to-end simulated-cycle
+ * rate. Writes
  * BENCH_kernel.json (see README); the committed copy of that file is
  * the CI regression baseline.
  *
@@ -23,6 +24,7 @@
 #include "core/descscheme.hh"
 #include "core/link.hh"
 #include "ecc/blockcodec.hh"
+#include "encoding/businvert.hh"
 #include "encoding/scheme.hh"
 #include "sim/eventq.hh"
 #include "sim/experiment.hh"
@@ -236,6 +238,30 @@ benchChunkStats(std::uint64_t blocks_n)
 }
 
 double
+benchBusInvert(std::uint64_t blocks_n)
+{
+    // Zero-skipped bus invert at its Figure 16 design point: 16-bit
+    // segments on the 64-wire L2 bus. The blocks clear alternate
+    // 16-bit fields, so the skip rule runs as well as the invert one.
+    encoding::SchemeConfig cfg;
+    cfg.bus_wires = 64;
+    cfg.segment_bits = 16;
+    encoding::BusInvertScheme scheme(
+        cfg, encoding::BusInvertScheme::Mode::ZeroSkipSparse);
+    auto blocks = makeBlocks(16);
+    std::uint64_t sink = 0;
+    auto t0 = Clock::now();
+    auto reads = envReads();
+    for (std::uint64_t i = 0; i < blocks_n; i++)
+        sink += scheme.transfer(blocks[i & 63]).data_flips;
+    double dt = secondsSince(t0);
+    assertNoEnvReads(reads, "bus-invert kernel");
+    if (sink == 0)
+        std::fprintf(stderr, "impossible\n");
+    return double(blocks_n) / dt;
+}
+
+double
 benchEcc(std::uint64_t blocks_n)
 {
     // The interleaved (137,128) SECDED encode every ECC transfer pays.
@@ -369,6 +395,7 @@ main(int argc, char **argv)
     std::uint64_t link_ticked_n = quick ? 2'000 : 20'000;
     std::uint64_t scheme_n = quick ? 20'000 : 200'000;
     std::uint64_t stats_n = quick ? 20'000 : 200'000;
+    std::uint64_t bi_n = quick ? 20'000 : 200'000;
     std::uint64_t ecc_n = quick ? 20'000 : 200'000;
     std::uint64_t insts = quick ? 1'000 : 3'000;
     unsigned reps = quick ? 1 : 5;
@@ -384,6 +411,8 @@ main(int argc, char **argv)
     std::fprintf(stderr, "scheme:    %12.0f blocks/sec\n", scheme);
     double cstats = benchChunkStats(stats_n);
     std::fprintf(stderr, "chunkstats:%12.0f blocks/sec\n", cstats);
+    double bi_rate = benchBusInvert(bi_n);
+    std::fprintf(stderr, "businvert: %12.0f blocks/sec\n", bi_rate);
     double ecc_rate = benchEcc(ecc_n);
     std::fprintf(stderr, "ecc:       %12.0f blocks/sec\n", ecc_rate);
     std::uint64_t cycles = 0;
@@ -422,6 +451,7 @@ main(int argc, char **argv)
         "    \"link_ticked_vcd_blocks_per_sec\": %.0f,\n"
         "    \"scheme_blocks_per_sec\": %.0f,\n"
         "    \"chunkstats_blocks_per_sec\": %.0f,\n"
+        "    \"businvert_blocks_per_sec\": %.0f,\n"
         "    \"ecc_blocks_per_sec\": %.0f,\n"
         "    \"runsystem_cycles_per_sec\": %.0f,\n"
         "    \"runsystem_ticked_cycles_per_sec\": %.0f,\n"
@@ -430,7 +460,7 @@ main(int argc, char **argv)
         "  \"check\": { \"runsystem_cycles\": %llu }\n"
         "}\n",
         quick ? "true" : "false", ev, link_ticked, link_vcd,
-        scheme, cstats, ecc_rate, rs, rs_ticked, prof_pct,
+        scheme, cstats, bi_rate, ecc_rate, rs, rs_ticked, prof_pct,
         (unsigned long long)cycles);
     std::fclose(f);
     return 0;

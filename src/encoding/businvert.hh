@@ -37,32 +37,28 @@ class BusInvertScheme : public TransferScheme
     const char *name() const override;
     void reset() override;
 
-    /** True when transfer() takes the precomputed-table pass. */
-    bool usesTablePath() const { return !_table.empty(); }
+    /** True when transfer() takes the word-at-a-time pass. */
+    bool usesWordPass() const { return _word_pass; }
 
   private:
     /** Per-segment transmission decision for one beat. */
     enum class SegMode : std::uint8_t { AsIs = 0, Inverted = 1, Skip = 2 };
 
     /**
-     * Precomputed decision for one (value, old, inv, skip) segment
-     * state: the coded value left on the wires, the chosen mode, the
-     * flip charges, and the new invert/skip line levels packed as
-     * inv | skip << 1 (the same layout the table is indexed by).
+     * Word-pass state for one 64-wire slice of the bus: the data wire
+     * levels, and the invert and sparse skip line levels as marker
+     * words with each segment's line at its lane's LSB.
      */
-    struct SegEntry
+    struct WordState
     {
-        std::uint8_t coded;
-        std::uint8_t mode; //!< SegMode
-        std::uint8_t data_flips;
-        std::uint8_t ctrl_flips;
-        std::uint8_t skip; //!< 1 when the segment was skipped
-        std::uint8_t flags; //!< new inv | skip << 1
+        std::uint64_t wires = 0;
+        std::uint64_t inv = 0;
+        std::uint64_t skip = 0;
     };
 
     TransferResult transferScalar(const BitVec &block);
-    TransferResult transferTable(const BitVec &block);
-    void buildTable();
+    /** The word pass for B-bit segments (B a power of two). */
+    template <unsigned B> TransferResult transferWord(const BitVec &block);
 
     unsigned _wires;
     unsigned _block_bits;
@@ -70,6 +66,7 @@ class BusInvertScheme : public TransferScheme
     unsigned _seg_bits;
     unsigned _num_segs;
     Mode _mode;
+    bool _word_pass; //!< latched encoder mode + layout gate
 
     BitVec _state;                    //!< data wire levels
     std::vector<bool> _inv_state;     //!< invert line levels
@@ -77,17 +74,8 @@ class BusInvertScheme : public TransferScheme
     std::vector<std::uint32_t> _mode_state; //!< encoded mode bus words
     std::vector<SegMode> _seg_modes;  //!< reused per-beat scratch
 
-    /**
-     * Table-pass state: one decision entry per
-     * (value << b | old) << 2 | inv | skip << 1 key, plus byte-wide
-     * mirrors of the wire/line state so the hot loop never touches
-     * the BitVec or the bit-packed bool vectors. Populated only for
-     * small segments (the table is 4^(b+1) entries) when the encoder
-     * mode allows batching; empty otherwise.
-     */
-    std::vector<SegEntry> _table;
-    std::vector<std::uint8_t> _seg_old;   //!< wire levels per segment
-    std::vector<std::uint8_t> _seg_flags; //!< inv | skip << 1 per segment
+    std::vector<WordState> _words;          //!< word-pass wire state
+    std::vector<std::uint32_t> _mode_next;  //!< word-pass mode scratch
 };
 
 } // namespace desc::encoding

@@ -97,12 +97,12 @@ dzcWord(std::uint64_t x, std::uint64_t &state, std::uint64_t &zero_marks,
     const std::uint64_t nz = swar::nonzeroChunkMarkers<SB>(x);
     const std::uint64_t zero = lsb & ~nz;
     // One indicator per segment: a flip whenever its level changes.
-    result.control_flips += std::popcount(zero ^ zero_marks);
+    result.control_flips += swar::markerCount<SB>(zero ^ zero_marks);
     zero_marks = zero;
-    result.skipped += std::popcount(zero);
+    result.skipped += swar::markerCount<SB>(zero);
     // Non-zero segments drive their new value; zero segments hold.
     const std::uint64_t drive = nz * seg_ones;
-    result.data_flips += std::popcount((x ^ state) & drive);
+    result.data_flips += swar::wordPopcount((x ^ state) & drive);
     state = (state & ~drive) | (x & drive);
 }
 

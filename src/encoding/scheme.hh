@@ -29,11 +29,13 @@ namespace desc::encoding {
 /**
  * How a TransferScheme walks a block: the chunk-at-a-time scalar
  * reference loops, or the word-at-a-time batched passes (SWAR chunk
- * math / precomputed per-segment tables). Both produce bit-identical
- * TransferResults and wire state — the differential suite enforces it
- * — so Auto simply takes the batched pass wherever the configuration
- * supports one and falls back to scalar elsewhere (odd chunk widths,
- * adaptive skip tracking, unaligned waves).
+ * and segment math). Both produce bit-identical TransferResults —
+ * each batched pass has a differential test against its scalar loop
+ * (DescEquivalence, DzcDifferential, BusInvertDifferential) — so Auto
+ * simply takes the batched pass wherever the configuration supports
+ * one and falls back to scalar elsewhere (odd chunk widths, adaptive
+ * skip tracking, unaligned waves, segments that are not a power of
+ * two, buses that are not a multiple of 64 wires).
  */
 enum class EncoderMode {
     Auto,    //!< batched where supported (default)

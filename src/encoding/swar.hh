@@ -2,7 +2,8 @@
  * @file
  * SWAR (SIMD-within-a-register) helpers over packed fixed-width
  * chunks, shared by the batched encoder paths. A 64-bit word holds
- * 64/B chunks of B bits each, B in {1, 2, 4, 8}; the chunk width is a
+ * 64/B chunks of B bits each, B a power of two (the DESC chunk passes
+ * use 1..8, the segment passes up to 64); the chunk width is a
  * template parameter so every mask folds to a compile-time constant
  * and each helper compiles to a handful of straight-line shifts. The
  * scalar reference paths remain the semantic definition; the
@@ -65,7 +66,60 @@ template <unsigned B>
 inline std::uint64_t
 nonzeroChunkMarkers(std::uint64_t x)
 {
-    return foldNonzero<B>(x) & laneLsbMask(B);
+    constexpr std::uint64_t lsb = laneLsbMask(B);
+    return foldNonzero<B>(x) & lsb;
+}
+
+/**
+ * Per-lane population count over B-bit lanes, B a power of two in
+ * 1..64: every lane of the result holds the number of set bits in the
+ * same lane of @p x. Each step adds the two half-lane counts after
+ * masking, so a sum (at most B in a B-bit lane) never carries into
+ * the next lane.
+ */
+template <unsigned B>
+constexpr std::uint64_t
+lanePopcount(std::uint64_t x)
+{
+    if constexpr (B == 1) {
+        return x;
+    } else if constexpr (B == 64) {
+        return std::uint64_t(std::popcount(x));
+    } else {
+        constexpr std::uint64_t half = laneLowMask(B, B / 2);
+        x = lanePopcount<B / 2>(x);
+        return (x & half) + ((x >> (B / 2)) & half);
+    }
+}
+
+/**
+ * Population count of a whole word in straight-line code: byte
+ * counts, then one multiply sums the bytes into the top byte. The
+ * build targets baseline x86-64, where std::popcount is a call into
+ * the runtime library; the segment passes count several words per
+ * bus word, so they use this instead.
+ */
+constexpr unsigned
+wordPopcount(std::uint64_t x)
+{
+    return unsigned((lanePopcount<8>(x) * laneLsbMask(8)) >> 56);
+}
+
+/**
+ * Number of set bits in a marker word over B-bit lanes (only each
+ * lane's LSB may be set). From 8-bit lanes up, one multiply sums
+ * every lane into the top lane, which is wide enough for the count.
+ */
+template <unsigned B>
+constexpr unsigned
+markerCount(std::uint64_t m)
+{
+    if constexpr (B >= 8) {
+        constexpr std::uint64_t lsb = laneLsbMask(B);
+        return unsigned((m * lsb) >> (64 - B));
+    } else {
+        return wordPopcount(m);
+    }
 }
 
 /** Number of non-zero B-bit chunks in @p x. */

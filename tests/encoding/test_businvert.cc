@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.hh"
 #include "encoding/businvert.hh"
+#include "differential.hh"
 
 using namespace desc;
 using namespace desc::encoding;
@@ -155,4 +158,67 @@ TEST(BusInvertDeath, RejectsIndivisibleSegments)
 {
     EXPECT_DEATH(BusInvertScheme(cfg(64, 24), Mode::Plain),
                  "not divisible");
+}
+
+/**
+ * The word pass against the scalar reference: every power-of-two
+ * segment, every mode, 64- to 512-wire buses (192 and 512 wires run a
+ * beat past the block's storage), and a block width that is not a
+ * multiple of 64. Both schemes see the same stream, including a
+ * reset() mid-stream, and must agree on every field of every block.
+ */
+TEST(BusInvertDifferential, WordPassMatchesScalarReference)
+{
+    using difftest::ForcedEncoderMode;
+    const Mode modes[] = {Mode::Plain, Mode::ZeroSkipSparse,
+                          Mode::ZeroSkipEncoded};
+    const unsigned wires_set[] = {64, 128, 192, 256, 512};
+    for (unsigned seg = 1; seg <= 64; seg *= 2) {
+        for (Mode mode : modes) {
+            for (unsigned wires : wires_set) {
+                for (unsigned block_bits : {kBlockBits, 200u}) {
+                    const SchemeConfig c = cfg(wires, seg, block_bits);
+                    std::unique_ptr<BusInvertScheme> ref, word;
+                    {
+                        ForcedEncoderMode f(EncoderMode::Scalar);
+                        ref = std::make_unique<BusInvertScheme>(c, mode);
+                    }
+                    {
+                        ForcedEncoderMode f(EncoderMode::Batched);
+                        word = std::make_unique<BusInvertScheme>(c, mode);
+                    }
+                    ASSERT_FALSE(ref->usesWordPass());
+                    ASSERT_TRUE(word->usesWordPass());
+                    SCOPED_TRACE(::testing::Message()
+                                 << "seg " << seg << " mode "
+                                 << int(mode) << " wires " << wires
+                                 << " block " << block_bits);
+                    Rng rng(seg * 1009 + wires * 7 + unsigned(mode));
+                    for (unsigned i = 0; i < 96; i++) {
+                        if (i == 50) {
+                            ref->reset();
+                            word->reset();
+                        }
+                        const BitVec b = difftest::differentialBlock(
+                            rng, i, block_bits, seg);
+                        difftest::expectSameResult(word->transfer(b),
+                                                  ref->transfer(b));
+                        if (::testing::Test::HasFailure())
+                            return;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(BusInvertDifferential, WordPassNeedsWholeWordsOfSegments)
+{
+    difftest::ForcedEncoderMode f(EncoderMode::Batched);
+    EXPECT_TRUE(BusInvertScheme(cfg(64, 16), Mode::Plain).usesWordPass());
+    // A bus narrower than a word, and a segment that is not a power
+    // of two, stay on the scalar walk.
+    EXPECT_FALSE(BusInvertScheme(cfg(32, 8), Mode::Plain).usesWordPass());
+    EXPECT_FALSE(BusInvertScheme(cfg(48, 24, 96), Mode::ZeroSkipSparse)
+                     .usesWordPass());
 }

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/rng.hh"
 #include "encoding/dzc.hh"
+#include "differential.hh"
 
 using namespace desc;
 using namespace desc::encoding;
@@ -104,4 +107,56 @@ TEST(Dzc, RandomStreamFlipsNeverExceedBinaryPlusIndicators)
         auto r = s.transfer(block);
         EXPECT_LE(r.totalFlips(), kBlockBits + 64 + 64);
     }
+}
+
+/**
+ * The batched pass against the scalar reference over the same
+ * geometries and block stream as the bus-invert differential test.
+ */
+TEST(DzcDifferential, BatchedPassMatchesScalarReference)
+{
+    using difftest::ForcedEncoderMode;
+    const unsigned wires_set[] = {64, 128, 192, 256, 512};
+    for (unsigned seg = 1; seg <= 64; seg *= 2) {
+        for (unsigned wires : wires_set) {
+            for (unsigned block_bits : {kBlockBits, 200u}) {
+                const SchemeConfig c = cfg(wires, seg, block_bits);
+                std::unique_ptr<DynamicZeroScheme> ref, batched;
+                {
+                    ForcedEncoderMode f(EncoderMode::Scalar);
+                    ref = std::make_unique<DynamicZeroScheme>(c);
+                }
+                {
+                    ForcedEncoderMode f(EncoderMode::Batched);
+                    batched = std::make_unique<DynamicZeroScheme>(c);
+                }
+                ASSERT_FALSE(ref->usesBatchedPath());
+                ASSERT_TRUE(batched->usesBatchedPath());
+                SCOPED_TRACE(::testing::Message()
+                             << "seg " << seg << " wires " << wires
+                             << " block " << block_bits);
+                Rng rng(seg * 1009 + wires * 7);
+                for (unsigned i = 0; i < 96; i++) {
+                    if (i == 50) {
+                        ref->reset();
+                        batched->reset();
+                    }
+                    const BitVec b = difftest::differentialBlock(
+                        rng, i, block_bits, seg);
+                    difftest::expectSameResult(batched->transfer(b),
+                                              ref->transfer(b));
+                    if (::testing::Test::HasFailure())
+                        return;
+                }
+            }
+        }
+    }
+}
+
+TEST(DzcDifferential, BatchedPassNeedsWholeWordsOfSegments)
+{
+    difftest::ForcedEncoderMode f(EncoderMode::Batched);
+    EXPECT_TRUE(DynamicZeroScheme(cfg(64, 16)).usesBatchedPath());
+    EXPECT_FALSE(DynamicZeroScheme(cfg(32, 8)).usesBatchedPath());
+    EXPECT_FALSE(DynamicZeroScheme(cfg(48, 24, 96)).usesBatchedPath());
 }

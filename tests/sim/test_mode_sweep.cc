@@ -94,6 +94,21 @@ sweepConfigs()
     ooo.insts_per_thread = 3000;
     applyScheme(ooo, encoding::SchemeKind::DescZeroSkip);
     cfgs.push_back(ooo);
+    // The segment schemes' word passes, drawn after the points above
+    // so those stay the same.
+    const encoding::SchemeKind segment_schemes[] = {
+        encoding::SchemeKind::BusInvert,
+        encoding::SchemeKind::ZeroSkipBusInvert,
+        encoding::SchemeKind::EncodedZeroSkipBusInvert,
+        encoding::SchemeKind::DynamicZeroCompression,
+    };
+    for (auto kind : segment_schemes) {
+        auto cfg = baselineConfig(apps[rng.below(apps.size())]);
+        cfg.insts_per_thread = 1000 + rng.below(1000);
+        cfg.seed ^= rng.next();
+        applyScheme(cfg, kind);
+        cfgs.push_back(cfg);
+    }
     return cfgs;
 }
 
@@ -139,7 +154,8 @@ TEST(ModeSweep, CrossProductMatchesReferenceByteExactly)
             ForcedEncoder forced(encoding::EncoderMode::Batched);
             got = runScaledApp(scaledConfig(cfg));
         }
-        SCOPED_TRACE(cfg.app.name);
+        SCOPED_TRACE(std::string(cfg.app.name) + " / "
+                     + encoding::schemeName(cfg.l2.scheme));
         const std::string ref_json = sidecarJson(cfg, *ref);
         const std::string ref_entry = cacheEntryBytes(cfg, *ref);
         ASSERT_FALSE(ref_json.empty());

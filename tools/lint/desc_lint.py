@@ -75,6 +75,11 @@ HOT_PATH_FILES = [
     # The batched encoder passes (word-at-a-time SWAR loops).
     "src/encoding/swar.hh",
     "src/encoding/scheme.cc",
+    # The baseline encoders: one transfer per block moved over the
+    # H-tree, with every buffer sized at construction.
+    "src/encoding/binary.cc",
+    "src/encoding/businvert.cc",
+    "src/encoding/dzc.cc",
     # The L2 transaction chain: events come from pools, block
     # payloads live in the set-associative arrays.
     "src/cache/array.hh",
