@@ -313,18 +313,18 @@ benchRunSystem(std::uint64_t insts, unsigned reps, std::uint64_t *cycles)
 }
 
 /**
- * The same workload with the encoders pinned to the scalar reference
- * walk. Tracked so a regression in the reference stays visible, and
- * doubling as an equivalence probe: the cycle count must match the
- * batched run exactly.
+ * The same workload with the encoders built on the scalar reference
+ * walk (the setReferenceEncoders test hook). Tracked so a regression
+ * in the reference stays visible, and doubling as an equivalence
+ * probe: the cycle count must match the word-pass run exactly.
  */
 double
 benchRunSystemTicked(std::uint64_t insts, unsigned reps,
                      std::uint64_t *cycles)
 {
-    encoding::setDefaultEncoderMode(encoding::EncoderMode::Scalar);
+    encoding::setReferenceEncoders(true);
     double rate = benchRunSystem(insts, reps, cycles);
-    encoding::setDefaultEncoderMode(std::nullopt);
+    encoding::setReferenceEncoders(false);
     return rate;
 }
 
@@ -382,10 +382,11 @@ main(int argc, char **argv)
     }
     bool quick = desc::env::isSet(desc::env::Var::BenchQuick);
 
-    // One throwaway run touches every lazily-memoized knob (encoder
-    // mode, sim scale, trace mask, profiler spec, snapshot cadence)
-    // so the measured regions below can hold the registry's
-    // steady-state contract: zero environment reads.
+    // One throwaway run touches every lazily-memoized knob (sim
+    // scale, trace mask, profiler spec, snapshot cadence) so the
+    // measured regions below can hold the registry's steady-state
+    // contract: zero environment reads. The encoders read no knob:
+    // each scheme's geometry picks its pass at construction.
     {
         auto cfg = benchSystemConfig(200);
         (void)sim::runSystem(cfg);

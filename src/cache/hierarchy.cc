@@ -150,13 +150,13 @@ MemHierarchy::transfer(unsigned bank_idx, const Block512 &data,
     return complete;
 }
 
-void
+MemHierarchy::L1Array::Way
 MemHierarchy::evictL1Victim(unsigned core, L1Array &l1, Addr addr,
                             bool ifetch)
 {
     auto v = l1.victim(addr);
     if (!l1.valid(v))
-        return;
+        return v;
     Addr va = l1.addrOf(v);
     L1Meta &vm = l1.meta(v);
     if (!ifetch) {
@@ -180,6 +180,7 @@ MemHierarchy::evictL1Victim(unsigned core, L1Array &l1, Addr addr,
         }
     }
     l1.invalidate(v);
+    return v;
 }
 
 bool
@@ -263,8 +264,7 @@ MemHierarchy::fillL1(const MshrEntry::Waiter &w, Addr addr,
     L1Array &l1 = w.ifetch ? _l1i[w.core] : _l1d[w.core];
     auto way = l1.lookup(addr);
     if (way == L1Array::kNoWay) {
-        evictL1Victim(w.core, l1, addr, w.ifetch);
-        way = l1.victim(addr);
+        way = evictL1Victim(w.core, l1, addr, w.ifetch);
         l1.fill(way, addr);
     }
     L1Meta &l1m = l1.meta(way);

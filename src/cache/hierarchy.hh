@@ -349,7 +349,10 @@ class MemHierarchy
                            Cycle *ready);
 
     void fillL1(const MshrEntry::Waiter &w, Addr addr, L2Array::Way l2way);
-    void evictL1Victim(unsigned core, L1Array &l1, Addr addr, bool ifetch);
+    /** Free the L1 victim way for @p addr (writing back a Modified
+     *  line) and return it, invalid and ready to fill. */
+    L1Array::Way evictL1Victim(unsigned core, L1Array &l1, Addr addr,
+                               bool ifetch);
 
     sim::EventQueue &_eq;
     L2Config _cfg;

@@ -12,6 +12,7 @@
 
 #include "common/contract.hh"
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/log.hh"
 
 namespace desc::prof {
@@ -180,21 +181,6 @@ runLog()
 // --- JSON helpers -------------------------------------------------
 
 void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else if (static_cast<unsigned char>(c) < 0x20)
-            os << ' ';
-        else
-            os << c;
-    }
-    os << '"';
-}
-
-void
 writeTotals(std::ostream &os, const ComponentTotals &t)
 {
     os << "{\"scopes\": " << t.count << ", \"self_ns\": " << t.self_ns
@@ -212,7 +198,7 @@ writeComponentMap(std::ostream &os, const Profile &p, const char *indent)
             continue;
         os << (first ? "\n" : ",\n") << indent;
         first = false;
-        jsonString(os, kNames[c]);
+        writeJsonString(os, kNames[c]);
         os << ": ";
         writeTotals(os, p.comp[c]);
     }
@@ -522,7 +508,7 @@ writeTraceJson(std::ostream &os)
             os << "{\"ph\": \"M\", \"pid\": 1, \"tid\": "
                << ts->index * kNumComponents + c + 1
                << ", \"name\": \"thread_name\", \"args\": {\"name\": ";
-            jsonString(os, ts->name + "/" + kNames[c]);
+            writeJsonString(os, ts->name + "/" + kNames[c]);
             os << "}}";
         }
     }
@@ -537,7 +523,7 @@ writeTraceJson(std::ostream &os)
            << ts_us;
         if (o.begin) {
             os << ", \"name\": ";
-            jsonString(os, kNames[o.comp]);
+            writeJsonString(os, kNames[o.comp]);
             os << ", \"args\": {\"scopes\": " << o.scopes << "}";
         }
         os << "}";
@@ -561,7 +547,7 @@ writeTraceJson(std::ostream &os)
         for (unsigned c = 0; c < kNumComponents; c++)
             t.comp[c] = ts->totals[c];
         os << (i ? ",\n      " : "\n      ") << "{\"name\": ";
-        jsonString(os, ts->name);
+        writeJsonString(os, ts->name);
         os << ", \"components\": ";
         writeComponentMap(os, t, "        ");
         os << "}";
@@ -582,7 +568,7 @@ writeTraceJson(std::ostream &os)
     os << "    \"runs\": [";
     for (std::size_t i = 0; i < runs.size(); i++) {
         os << (i ? ",\n      " : "\n      ") << "{\"run\": ";
-        jsonString(os, runs[i]->label);
+        writeJsonString(os, runs[i]->label);
         os << ", \"components\": ";
         writeComponentMap(os, runs[i]->profile, "        ");
         os << "}";

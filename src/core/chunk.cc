@@ -43,15 +43,15 @@ joinChunks(const std::vector<std::uint8_t> &chunks, unsigned chunk_bits,
 
 ChunkStats::ChunkStats(unsigned chunk_bits, unsigned wires)
     : _chunk_bits(chunk_bits), _wires(wires),
-      _batched(encoding::defaultEncoderMode() != encoding::EncoderMode::Scalar
-               && swar::supportedChunk(chunk_bits)),
+      _word_pass(!encoding::referenceEncoders()
+                 && swar::supportedChunk(chunk_bits)),
       _hist(1u << chunk_bits), _last(wires, 0), _last_valid(wires, false),
       _prev_words((std::size_t(wires) * chunk_bits + 63) / 64, 0)
 {
 }
 
 bool
-ChunkStats::batchedObservable(unsigned n) const
+ChunkStats::wordObservable(unsigned n) const
 {
     // The word pass needs complete waves (every wire sees the same
     // number of chunks) laid out as whole-word slices of the block; a
@@ -95,7 +95,7 @@ ChunkStats::observe(const BitVec &block)
     DESC_ASSERT(block.width() % _chunk_bits == 0,
                 "block width not divisible by chunk size");
     const unsigned n = block.width() / _chunk_bits;
-    if (_batched && batchedObservable(n)) {
+    if (_word_pass && wordObservable(n)) {
         if (!_words_fresh) {
             // Adopting the packed representation needs uniform wire
             // validity, which only complete blocks guarantee; mixed
@@ -109,7 +109,7 @@ ChunkStats::observe(const BitVec &block)
             }
             packPrevWords();
         }
-        observeBatched(block, n);
+        observeWord(block, n);
         return;
     }
     if (_words_fresh)
@@ -184,7 +184,7 @@ constexpr DiffFn kDiff[4] = {diffChunks<1>, diffChunks<2>, diffChunks<4>,
 } // namespace
 
 void
-ChunkStats::observeBatched(const BitVec &block, unsigned n)
+ChunkStats::observeWord(const BitVec &block, unsigned n)
 {
     const unsigned lb = unsigned(std::countr_zero(_chunk_bits));
     const unsigned waves = n / _wires;

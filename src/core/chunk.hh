@@ -69,6 +69,13 @@ class ChunkStats
 
     const Histogram &histogram() const { return _hist; }
 
+    /**
+     * True when observe() takes the word pass for blocks of whole,
+     * word-aligned waves (chunk width 1, 2, 4 or 8, and not built
+     * under encoding::setReferenceEncoders(true)).
+     */
+    bool usesWordPass() const { return _word_pass; }
+
     unsigned chunkBits() const { return _chunk_bits; }
     unsigned wires() const { return _wires; }
     std::uint64_t matches() const { return _matches; }
@@ -91,14 +98,14 @@ class ChunkStats
 
   private:
     void observeScalar(const BitVec &block, unsigned n);
-    void observeBatched(const BitVec &block, unsigned n);
-    bool batchedObservable(unsigned n) const;
+    void observeWord(const BitVec &block, unsigned n);
+    bool wordObservable(unsigned n) const;
     void packPrevWords();
     void unpackPrevWords();
 
     unsigned _chunk_bits;
     unsigned _wires;
-    bool _batched; //!< word-at-a-time pass (latched encoder mode)
+    bool _word_pass; //!< word pass fits the chunk width (latched)
     Histogram _hist;
     std::vector<std::uint8_t> _last;
     std::vector<bool> _last_valid;
@@ -106,7 +113,7 @@ class ChunkStats
     std::uint64_t _match_candidates = 0;
 
     /**
-     * Batched-pass state: the previous wave packed at chunk_bits per
+     * Word-pass state: the previous wave packed at chunk_bits per
      * wire, and whether every wire has transmitted at least once (a
      * complete block primes all wires, so one flag replaces the
      * per-wire valid bits). Exactly one of the byte/word wire-state

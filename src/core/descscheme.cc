@@ -96,16 +96,44 @@ chunkLog2(unsigned b)
     return unsigned(std::countr_zero(b));
 }
 
+/**
+ * True if the word pass covers @p cfg's geometry. The SWAR pass needs
+ * chunks that pack a 64-bit word evenly and a wave layout where every
+ * wave is a whole-word slice of the block (a single wave always starts
+ * at bit 0, so only multi-wave configurations need the alignment). The
+ * adaptive tracker updates per chunk in stream order and stays on the
+ * scalar walk; basic mode accumulates per-wire time across waves,
+ * which the word pass only reproduces for the single-wave layout.
+ */
+bool
+wordPassFits(const DescConfig &cfg)
+{
+    if (cfg.skip == SkipMode::Adaptive)
+        return false;
+    if (!swar::supportedChunk(cfg.chunk_bits))
+        return false;
+    const unsigned waves = cfg.numWaves();
+    if (waves > 1 && (cfg.activeWires() * cfg.chunk_bits) % 64 != 0)
+        return false;
+    if (cfg.skip == SkipMode::None && waves > 1)
+        return false;
+    return true;
+}
+
 } // namespace
 
 DescScheme::DescScheme(const DescConfig &cfg)
-    : _cfg(cfg), _mode(encoding::defaultEncoderMode()),
-      _last(cfg.activeWires(), 0),
-      _adaptive(cfg.activeWires(), cfg.chunk_bits)
+    : _cfg(cfg), _adaptive(cfg.activeWires(), cfg.chunk_bits)
 {
     _cfg.validate();
-    const unsigned wave_bits = _cfg.activeWires() * _cfg.chunk_bits;
-    _last_words.assign((wave_bits + 63) / 64, 0);
+    _word_pass = !encoding::referenceEncoders() && wordPassFits(_cfg);
+    if (_cfg.skip == SkipMode::LastValue) {
+        if (_word_pass)
+            _last_words.assign(
+                (_cfg.activeWires() * _cfg.chunk_bits + 63) / 64, 0);
+        else
+            _last.assign(_cfg.activeWires(), 0);
+    }
 }
 
 const char *
@@ -124,72 +152,12 @@ DescScheme::name() const
     return "?";
 }
 
-bool
-DescScheme::batchedSupported() const
-{
-    // The SWAR pass needs chunks that pack a 64-bit word evenly and a
-    // wave layout where every wave is a whole-word slice of the block
-    // (a single wave always starts at bit 0, so only multi-wave
-    // configurations need the alignment). The adaptive tracker updates
-    // per chunk in stream order and stays on the reference loop; basic
-    // mode accumulates per-wire time across waves, which the word pass
-    // only reproduces for the single-wave layout.
-    if (_cfg.skip == SkipMode::Adaptive)
-        return false;
-    if (!swar::supportedChunk(_cfg.chunk_bits))
-        return false;
-    const unsigned waves = _cfg.numWaves();
-    if (waves > 1 && (_cfg.activeWires() * _cfg.chunk_bits) % 64 != 0)
-        return false;
-    if (_cfg.skip == SkipMode::None && waves > 1)
-        return false;
-    return true;
-}
-
-void
-DescScheme::packLastWords()
-{
-    const unsigned b = _cfg.chunk_bits;
-    std::fill(_last_words.begin(), _last_words.end(), 0);
-    for (unsigned w = 0; w < _cfg.activeWires(); w++) {
-        const unsigned pos = w * b;
-        _last_words[pos >> 6] |= std::uint64_t{_last[w]} << (pos & 63);
-    }
-    _last_words_fresh = true;
-}
-
-void
-DescScheme::unpackLastWords()
-{
-    const unsigned b = _cfg.chunk_bits;
-    const std::uint64_t mask = (std::uint64_t{1} << b) - 1;
-    for (unsigned w = 0; w < _cfg.activeWires(); w++) {
-        const unsigned pos = w * b;
-        _last[w] = std::uint8_t((_last_words[pos >> 6] >> (pos & 63)) & mask);
-    }
-    _last_bytes_fresh = true;
-}
-
-void
-DescScheme::setEncoderMode(encoding::EncoderMode mode)
-{
-    _mode = mode;
-    // Converge the wire-state representations so either path can pick
-    // up mid-stream (only LastValue ever reads them back).
-    if (_cfg.skip == SkipMode::LastValue) {
-        if (!_last_bytes_fresh)
-            unpackLastWords();
-        if (!_last_words_fresh)
-            packLastWords();
-    }
-}
-
 encoding::TransferResult
 DescScheme::transfer(const BitVec &block)
 {
     DESC_ASSERT(block.width() == _cfg.block_bits, "block width mismatch");
-    if (usesBatchedPath())
-        return transferBatched(block);
+    if (_word_pass)
+        return transferWord(block);
     return transferScalar(block);
 }
 
@@ -202,11 +170,6 @@ DescScheme::transferScalar(const BitVec &block)
     const unsigned waves = _cfg.numWaves();
     const unsigned chunk_bits = _cfg.chunk_bits;
 
-    if (_cfg.skip == SkipMode::LastValue && !_last_bytes_fresh)
-        unpackLastWords();
-    _last_words_fresh = false;
-    _last_bytes_fresh = true;
-
     if (_cfg.skip == SkipMode::None) {
         // One reset pulse, then every wire streams its queue back to
         // back; the block completes when the slowest wire finishes.
@@ -218,7 +181,6 @@ DescScheme::transferScalar(const BitVec &block)
             for (unsigned w = 0; w < wires; w++) {
                 std::uint64_t v = cur.next(chunk_bits);
                 _wire_time[w] += chunkCycles(v, false, 0);
-                _last[w] = std::uint8_t(v);
             }
         }
         Cycle window = 0;
@@ -244,11 +206,14 @@ DescScheme::transferScalar(const BitVec &block)
         bool any_skipped = false;
         for (unsigned w = 0; w < wires; w++) {
             std::uint64_t v = cur.next(chunk_bits);
-            std::uint64_t s = _cfg.skip == SkipMode::Zero
-                ? 0
-                : (_cfg.skip == SkipMode::Adaptive
-                       ? _adaptive.best(w)
-                       : _last[w]);
+            std::uint64_t s = 0;
+            if (_cfg.skip == SkipMode::LastValue) {
+                s = _last[w];
+                _last[w] = std::uint8_t(v);
+            } else if (_cfg.skip == SkipMode::Adaptive) {
+                s = _adaptive.best(w);
+                _adaptive.update(w, std::uint8_t(v));
+            }
             if (v == s) {
                 any_skipped = true;
                 result.skipped++;
@@ -258,9 +223,6 @@ DescScheme::transferScalar(const BitVec &block)
                 if (c > window)
                     window = c;
             }
-            _last[w] = std::uint8_t(v);
-            if (_cfg.skip == SkipMode::Adaptive)
-                _adaptive.update(w, std::uint8_t(v));
         }
         if (window == 0)
             window = 1; // all-skipped wave: closing pulse one cycle later
@@ -276,7 +238,7 @@ DescScheme::transferScalar(const BitVec &block)
 }
 
 encoding::TransferResult
-DescScheme::transferBatched(const BitVec &block)
+DescScheme::transferWord(const BitVec &block)
 {
     encoding::TransferResult result;
 
@@ -284,7 +246,7 @@ DescScheme::transferBatched(const BitVec &block)
     const unsigned wires = _cfg.activeWires();
     const unsigned waves = _cfg.numWaves();
     const auto &words = block.words();
-    // Each wave is a whole-word slice (batchedSupported); a single
+    // Each wave is a whole-word slice (wordPassFits); a single
     // wave spans the entire block, padding bits beyond the width read
     // zero and so never produce spurious chunk activity.
     const unsigned wpw = waves > 1 ? wires * _cfg.chunk_bits / 64
@@ -293,8 +255,7 @@ DescScheme::transferBatched(const BitVec &block)
     if (_cfg.skip == SkipMode::None) {
         // Single wave: every wire carries exactly one chunk, so the
         // slowest wire is simply the maximum chunk value (+1 cycle of
-        // per-chunk overhead). The per-wire last values are write-only
-        // in basic mode, so the pass skips maintaining them.
+        // per-chunk overhead).
         const std::uint64_t maxv = kMaxWords[lb](words.data(), wpw);
         result.cycles = 1 + (Cycle(maxv) + 1);
         result.data_flips = _cfg.numChunks();
@@ -303,9 +264,6 @@ DescScheme::transferBatched(const BitVec &block)
     }
 
     const bool last_value = _cfg.skip == SkipMode::LastValue;
-    if (last_value && !_last_words_fresh)
-        packLastWords();
-
     Cycle cycles = 1; // opening pulse of wave 0
     std::uint64_t reset_flips = 1;
     for (unsigned g = 0; g < waves; g++) {
@@ -337,8 +295,6 @@ DescScheme::transferBatched(const BitVec &block)
     if (last_value) {
         std::copy_n(words.data() + std::size_t(waves - 1) * wpw, wpw,
                     _last_words.begin());
-        _last_words_fresh = true;
-        _last_bytes_fresh = false;
     }
     result.cycles = cycles;
     result.control_flips = reset_flips + cycles; // + sync strobe
@@ -350,8 +306,6 @@ DescScheme::reset()
 {
     std::fill(_last.begin(), _last.end(), 0);
     std::fill(_last_words.begin(), _last_words.end(), 0);
-    _last_words_fresh = true;
-    _last_bytes_fresh = true;
     _adaptive.reset();
 }
 

@@ -35,42 +35,29 @@ class DescScheme : public encoding::TransferScheme
     const DescConfig &config() const { return _cfg; }
 
     /**
-     * Select the scalar reference loop or the SWAR batched pass
-     * (latched from defaultEncoderMode() at construction). Switching
-     * mid-stream is safe: the wire state is converted between the
-     * byte-per-wire and packed-word representations.
+     * True when transfer() takes the SWAR word pass. The geometry
+     * picks the pass once, at construction: power-of-two chunks, whole-
+     * word waves, and no adaptive tracker or multi-wave basic mode.
      */
-    void setEncoderMode(encoding::EncoderMode mode);
-
-    /** True when transfer() takes the word-at-a-time batched pass. */
-    bool usesBatchedPath() const
-    {
-        return _mode != encoding::EncoderMode::Scalar && batchedSupported();
-    }
+    bool usesWordPass() const override { return _word_pass; }
 
   private:
-    bool batchedSupported() const;
     encoding::TransferResult transferScalar(const BitVec &block);
-    encoding::TransferResult transferBatched(const BitVec &block);
-    void packLastWords();
-    void unpackLastWords();
+    encoding::TransferResult transferWord(const BitVec &block);
 
     DescConfig _cfg;
-    encoding::EncoderMode _mode;
-    std::vector<std::uint8_t> _last;
+    bool _word_pass;
     AdaptiveTracker _adaptive;
     std::vector<Cycle> _wire_time; //!< reused basic-mode scratch
 
     /**
-     * Packed mirror of _last for the batched LastValue pass: wave
-     * layout, chunk i of the final wave at bit i*chunk_bits. Only one
-     * representation is kept fresh at a time; the mode setter and the
-     * path entry points convert on demand (None/Zero modes never read
-     * the previous values, so staleness there is unobservable).
+     * The previous wave's chunk on each wire, the skip values of
+     * last-value skipping (the only mode that reads them back). Each
+     * path keeps its own form: one byte per wire on the scalar walk,
+     * the packed wave (chunk i at bit i*chunk_bits) on the word pass.
      */
+    std::vector<std::uint8_t> _last;
     std::vector<std::uint64_t> _last_words;
-    bool _last_words_fresh = true;
-    bool _last_bytes_fresh = true;
 };
 
 } // namespace desc::core

@@ -34,10 +34,8 @@ BusInvertScheme::BusInvertScheme(const SchemeConfig &cfg, Mode mode)
     _mode_state.assign((_num_segs + kSegsPerModeWord - 1) / kSegsPerModeWord,
                        0);
     _seg_modes.assign(_num_segs, SegMode::AsIs);
-    // The word pass needs whole words of segments per beat: power-of-
-    // two segments and a beat width that is a multiple of 64 bits.
-    _word_pass = defaultEncoderMode() != EncoderMode::Scalar
-        && std::has_single_bit(_seg_bits) && _wires % 64 == 0;
+    _word_pass = !referenceEncoders()
+        && swar::wholeWordSegments(_wires, _seg_bits);
     if (_word_pass) {
         _words.assign(_wires / 64, WordState{});
         _mode_next.assign(_mode_state.size(), 0);

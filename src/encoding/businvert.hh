@@ -37,8 +37,7 @@ class BusInvertScheme : public TransferScheme
     const char *name() const override;
     void reset() override;
 
-    /** True when transfer() takes the word-at-a-time pass. */
-    bool usesWordPass() const { return _word_pass; }
+    bool usesWordPass() const override { return _word_pass; }
 
   private:
     /** Per-segment transmission decision for one beat. */
@@ -66,7 +65,7 @@ class BusInvertScheme : public TransferScheme
     unsigned _seg_bits;
     unsigned _num_segs;
     Mode _mode;
-    bool _word_pass; //!< latched encoder mode + layout gate
+    bool _word_pass; //!< geometry gate, latched at construction
 
     BitVec _state;                    //!< data wire levels
     std::vector<bool> _inv_state;     //!< invert line levels

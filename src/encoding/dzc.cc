@@ -20,11 +20,9 @@ DynamicZeroScheme::DynamicZeroScheme(const SchemeConfig &cfg)
     _beats = (_block_bits + _wires - 1) / _wires;
     _num_segs = _wires / _seg_bits;
     _zero_state.assign(_num_segs, false);
-    // The word pass needs whole words of segments per beat: power-of-
-    // two segments and a beat width that is a multiple of 64 bits.
-    _batched = defaultEncoderMode() != EncoderMode::Scalar
-        && std::has_single_bit(_seg_bits) && _wires % 64 == 0;
-    if (_batched) {
+    _word_pass = !referenceEncoders()
+        && swar::wholeWordSegments(_wires, _seg_bits);
+    if (_word_pass) {
         _state_words.assign(_wires / 64, 0);
         _zero_marks.assign(_wires / 64, 0);
     }
@@ -34,8 +32,8 @@ TransferResult
 DynamicZeroScheme::transfer(const BitVec &block)
 {
     DESC_ASSERT(block.width() == _block_bits, "block width mismatch");
-    if (_batched)
-        return transferBatched(block);
+    if (_word_pass)
+        return transferWord(block);
     return transferScalar(block);
 }
 
@@ -116,7 +114,7 @@ constexpr DzcWordFn kDzcWord[7] = {dzcWord<1>,  dzcWord<2>,  dzcWord<4>,
 } // namespace
 
 TransferResult
-DynamicZeroScheme::transferBatched(const BitVec &block)
+DynamicZeroScheme::transferWord(const BitVec &block)
 {
     TransferResult result;
     result.cycles = _beats + 1; // zero-detect pipeline stage

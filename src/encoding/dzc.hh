@@ -28,25 +28,24 @@ class DynamicZeroScheme : public TransferScheme
     const char *name() const override { return "Dynamic Zero Compression"; }
     void reset() override;
 
-    /** True when transfer() takes the word-at-a-time batched pass. */
-    bool usesBatchedPath() const { return _batched; }
+    bool usesWordPass() const override { return _word_pass; }
 
   private:
     TransferResult transferScalar(const BitVec &block);
-    TransferResult transferBatched(const BitVec &block);
+    TransferResult transferWord(const BitVec &block);
 
     unsigned _wires;
     unsigned _block_bits;
     unsigned _beats;
     unsigned _seg_bits;
     unsigned _num_segs;
-    bool _batched; //!< word pass (latched encoder mode + layout gate)
+    bool _word_pass; //!< geometry gate, latched at construction
 
     BitVec _state;
     std::vector<bool> _zero_state;
 
     /**
-     * Batched-pass state mirrors: wire levels packed one word per 64
+     * Word-pass state: wire levels packed one word per 64
      * wires, and the zero-indicator levels as marker masks in the
      * same per-word layout the SWAR fold produces (one bit at each
      * segment's base position), so a beat's indicator transitions are

@@ -1,36 +1,27 @@
 #include "encoding/scheme.hh"
 
-#include "common/env.hh"
+#include <atomic>
+
+#include "common/log.hh"
 
 namespace desc::encoding {
 
 namespace {
 
-std::optional<EncoderMode> g_encoder_mode_override;
+std::atomic<bool> g_reference_encoders{false};
 
 } // namespace
 
 void
-setDefaultEncoderMode(std::optional<EncoderMode> mode)
+setReferenceEncoders(bool on)
 {
-    g_encoder_mode_override = mode;
+    g_reference_encoders.store(on, std::memory_order_relaxed);
 }
 
-EncoderMode
-defaultEncoderMode()
+bool
+referenceEncoders()
 {
-    if (g_encoder_mode_override)
-        return *g_encoder_mode_override;
-    static const EncoderMode env_mode = [] {
-        static const env::EnumName kWords[] = {
-            {"auto", int(EncoderMode::Auto)},
-            {"scalar", int(EncoderMode::Scalar)},
-            {"batched", int(EncoderMode::Batched)},
-        };
-        return EncoderMode(env::enumOr(env::Var::EncoderMode, kWords,
-                                       3, int(EncoderMode::Auto)));
-    }();
-    return env_mode;
+    return g_reference_encoders.load(std::memory_order_relaxed);
 }
 
 const char *

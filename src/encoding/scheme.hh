@@ -18,7 +18,6 @@
 #define DESC_ENCODING_SCHEME_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/bitvec.hh"
@@ -27,38 +26,19 @@
 namespace desc::encoding {
 
 /**
- * How a TransferScheme walks a block: the chunk-at-a-time scalar
- * reference loops, or the word-at-a-time batched passes (SWAR chunk
- * and segment math). Both produce bit-identical TransferResults —
- * each batched pass has a differential test against its scalar loop
- * (DescEquivalence, DzcDifferential, BusInvertDifferential) — so Auto
- * simply takes the batched pass wherever the configuration supports
- * one and falls back to scalar elsewhere (odd chunk widths, adaptive
- * skip tracking, unaligned waves, segments that are not a power of
- * two, buses that are not a multiple of 64 wires).
+ * Test hook: while on, schemes constructed afterwards take their
+ * scalar reference walk instead of the word pass their geometry would
+ * select. Every scheme with a word pass (DescScheme, BusInvertScheme,
+ * DynamicZeroScheme) and core::ChunkStats read it once, at
+ * construction, and keep that path for life. Each word pass is
+ * bit-identical to its reference, so the hook changes speed only; the
+ * differential suites and bench/perf_kernel's reference-speed probe
+ * set it, production code never does.
  */
-enum class EncoderMode {
-    Auto,    //!< batched where supported (default)
-    Scalar,  //!< force the chunk-at-a-time reference loops
-    Batched, //!< batched where supported (same as Auto; named so
-             //!< tests can force either engine explicitly)
-};
+void setReferenceEncoders(bool on);
 
-/**
- * Process-wide default encoder mode, from the DESC_ENCODER_MODE
- * environment variable (auto|scalar|batched). Parsed once; an
- * unrecognized value warns and falls back to Auto. Schemes latch the
- * default at construction.
- */
-EncoderMode defaultEncoderMode();
-
-/**
- * Programmatic override of defaultEncoderMode(), bypassing the
- * environment (nullopt restores the environment's answer). For tests
- * and benchmarks that construct schemes indirectly, e.g. through the
- * cache hierarchy.
- */
-void setDefaultEncoderMode(std::optional<EncoderMode> mode);
+/** Current setting of the setReferenceEncoders() hook. */
+bool referenceEncoders();
 
 /** Every data-exchange technique evaluated in the paper (Figure 16). */
 enum class SchemeKind {
@@ -129,6 +109,14 @@ class TransferScheme
 
     /** Return all wires to the all-zero idle state. */
     virtual void reset() = 0;
+
+    /**
+     * True when transfer() takes a word-at-a-time pass. The scheme's
+     * geometry picks the pass at construction; schemes without a word
+     * pass, and any scheme built under setReferenceEncoders(true),
+     * run the scalar walk.
+     */
+    virtual bool usesWordPass() const { return false; }
 };
 
 } // namespace desc::encoding

@@ -1,7 +1,7 @@
 /**
  * @file
  * SWAR (SIMD-within-a-register) helpers over packed fixed-width
- * chunks, shared by the batched encoder paths. A 64-bit word holds
+ * chunks, shared by the encoder word passes. A 64-bit word holds
  * 64/B chunks of B bits each, B a power of two (the DESC chunk passes
  * use 1..8, the segment passes up to 64); the chunk width is a
  * template parameter so every mask folds to a compile-time constant
@@ -18,11 +18,24 @@
 
 namespace desc::encoding::swar {
 
-/** True if the batched word paths support this chunk width. */
+/** True if the DESC chunk word passes support this chunk width. */
 constexpr bool
 supportedChunk(unsigned b)
 {
     return b == 1 || b == 2 || b == 4 || b == 8;
+}
+
+/**
+ * True if a @p wires-wire bus of @p seg_bits-bit segments carries
+ * whole words of segments per beat, the layout the segment word
+ * passes (dynamic zero compression, the bus-invert family) need:
+ * power-of-two segments of at most 64 bits and a multiple of 64 wires.
+ */
+constexpr bool
+wholeWordSegments(unsigned wires, unsigned seg_bits)
+{
+    return std::has_single_bit(seg_bits) && seg_bits <= 64
+        && wires % 64 == 0;
 }
 
 /** Word with the least-significant bit of every w-bit lane set. */

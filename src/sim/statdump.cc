@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/env.hh"
+#include "common/json.hh"
 #include "common/trace.hh"
 
 namespace desc::sim {
@@ -25,37 +26,6 @@ splitPath(const std::string &path)
         parts.push_back(path.substr(start, dot - start));
     parts.push_back(path.substr(start));
     return parts;
-}
-
-void
-writeJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", unsigned(c));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
 }
 
 /** A JSON number, or null for values JSON cannot represent. */

@@ -82,14 +82,14 @@ TEST(EnvRegistry, KnownKnobsAreRegistered)
 {
     EXPECT_STREQ(env::name(env::Var::SimJobs), "DESC_SIM_JOBS");
     EXPECT_STREQ(env::name(env::Var::SimScale), "DESC_SIM_SCALE");
-    EXPECT_STREQ(env::name(env::Var::EncoderMode), "DESC_ENCODER_MODE");
+    EXPECT_STREQ(env::name(env::Var::SimCache), "DESC_SIM_CACHE");
 }
 
 TEST(EnvRegistry, KnobCountIsPinned)
 {
     // A new knob is a new code path: adding (or dropping) one must
     // update this count deliberately.
-    EXPECT_EQ(env::kNumVars, 15u);
+    EXPECT_EQ(env::kNumVars, 14u);
 }
 
 // --- raw access and the lookup counter ----------------------------
@@ -233,19 +233,3 @@ TEST(EnvParse, FloatRejectsNonPositiveAndGarbage)
                      0.25);
 }
 
-TEST(EnvParse, EnumMatchesExactWordsOnly)
-{
-    static const env::EnumName kWords[] = {
-        {"auto", 0}, {"scalar", 1}, {"batched", 2}};
-    const auto v = env::Var::EncoderMode;
-    EXPECT_EQ(env::parseEnum(v, "auto", kWords, 3, 0), 0);
-    EXPECT_EQ(env::parseEnum(v, "scalar", kWords, 3, 0), 1);
-    EXPECT_EQ(env::parseEnum(v, "batched", kWords, 3, 0), 2);
-    EXPECT_EQ(env::parseEnum(v, nullptr, kWords, 3, 0), 0);
-    EXPECT_EQ(env::parseEnum(v, "", kWords, 3, 0), 0);
-    for (const char *bad :
-         {"AUTO", "Batched", "bogus", "batched ", "scal"}) {
-        EXPECT_EQ(env::parseEnum(v, bad, kWords, 3, 0), 0)
-            << "value \"" << bad << '"';
-    }
-}

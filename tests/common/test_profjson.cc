@@ -175,12 +175,52 @@ class JsonParser
         }
         std::string out;
         while (_i < _t.size() && _t[_i] != '"') {
-            if (_t[_i] == '\\' && _i + 1 < _t.size()) {
-                out.push_back(_t[_i + 1]);
-                _i += 2;
-            } else {
-                out.push_back(_t[_i]);
-                _i++;
+            const char c = _t[_i++];
+            if (static_cast<unsigned char>(c) < 0x20) {
+                _ok = false; // raw control characters are not JSON
+                return "";
+            }
+            if (c != '\\') {
+                out.push_back(c);
+                continue;
+            }
+            if (_i >= _t.size())
+                break;
+            const char e = _t[_i++];
+            switch (e) {
+              case 'n':
+                out.push_back('\n');
+                break;
+              case 't':
+                out.push_back('\t');
+                break;
+              case 'r':
+                out.push_back('\r');
+                break;
+              case 'b':
+                out.push_back('\b');
+                break;
+              case 'f':
+                out.push_back('\f');
+                break;
+              case 'u': {
+                // Only the ASCII range is needed here.
+                if (_i + 4 > _t.size()) {
+                    _ok = false;
+                    return "";
+                }
+                const unsigned long code =
+                    std::strtoul(_t.substr(_i, 4).c_str(), nullptr, 16);
+                if (code > 0x7f) {
+                    _ok = false;
+                    return "";
+                }
+                out.push_back(char(code));
+                _i += 4;
+                break;
+              }
+              default:
+                out.push_back(e); // \" \\ \/
             }
         }
         if (_i >= _t.size()) {
@@ -430,4 +470,22 @@ TEST(ProfJson, ProfileSectionCarriesMergedTotalsAndRuns)
     EXPECT_EQ(
         runs->array[0]->at("components")->at("energy")->at("scopes")->num,
         3.0);
+}
+
+TEST(ProfJson, RunLabelWithControlCharacterRoundTrips)
+{
+    // Run labels are free text; a control character in one must come
+    // back from the trace file unchanged, not flattened to a space.
+    ProfStateGuard guard;
+    setEnabled(true);
+    setCaptureForTest(true);
+    const std::string label = "FFT\x01tab\there\nnl\\\"q";
+    noteRunProfile(label, Profile{});
+
+    auto doc = captureAndParse();
+    ASSERT_NE(doc, nullptr);
+    const Json *runs = doc->at("profile")->at("runs");
+    ASSERT_NE(runs, nullptr);
+    ASSERT_EQ(runs->array.size(), 1u);
+    EXPECT_EQ(runs->array[0]->at("run")->str, label);
 }

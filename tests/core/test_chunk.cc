@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "common/rng.hh"
 #include "core/chunk.hh"
+
+#include "../encoding/differential.hh"
 
 using namespace desc;
 using namespace desc::core;
@@ -90,4 +94,69 @@ TEST(ChunkStats, IntraBlockMatchesCountedPerWire)
     BitVec block(8, 0x55); // chunks 5, 5
     stats.observe(block);
     EXPECT_DOUBLE_EQ(stats.lastValueMatchFraction(), 1.0);
+}
+
+namespace {
+
+/** Every histogram bin and both match counters agree. */
+void
+expectSameStats(const ChunkStats &got, const ChunkStats &ref)
+{
+    const Histogram &gh = got.histogram();
+    const Histogram &rh = ref.histogram();
+    ASSERT_EQ(gh.numBins(), rh.numBins());
+    for (unsigned v = 0; v < rh.numBins(); v++)
+        EXPECT_EQ(gh.bin(v), rh.bin(v)) << "bin " << v;
+    EXPECT_EQ(gh.total(), rh.total());
+    EXPECT_EQ(gh.overflow(), rh.overflow());
+    EXPECT_EQ(got.matches(), ref.matches());
+    EXPECT_EQ(got.matchCandidates(), ref.matchCandidates());
+}
+
+} // namespace
+
+/**
+ * The word pass against the scalar walk: every chunk width the pass
+ * supports, a wire count that takes the whole block in one wave and
+ * one whose waves are single words, over random, sparse, dense,
+ * all-zero, all-one and striped blocks. Every fourth block is ragged
+ * (its chunk count is not a multiple of the wire count) and takes the
+ * scalar walk, so the word-pass object converts its wire history to
+ * bytes and back mid-stream. One stream opens with a ragged block,
+ * which leaves some wires without history; the other opens with a
+ * whole block, whose first wave has no match candidates.
+ */
+TEST(ChunkStatsDifferential, WordPassMatchesScalarWalk)
+{
+    for (unsigned bits : {1u, 2u, 4u, 8u}) {
+        for (unsigned wires : {kBlockBits / bits, 64 / bits}) {
+            for (unsigned phase : {0u, 1u}) {
+                std::optional<ChunkStats> ref;
+                {
+                    encoding::difftest::ReferenceEncoders on;
+                    ref.emplace(bits, wires);
+                }
+                ChunkStats word(bits, wires);
+                ASSERT_FALSE(ref->usesWordPass());
+                ASSERT_TRUE(word.usesWordPass());
+                SCOPED_TRACE(::testing::Message()
+                             << "chunk " << bits << " wires " << wires
+                             << " phase " << phase);
+                Rng rng(bits * 131 + wires * 7 + phase);
+                for (unsigned i = 0; i < 48; i++) {
+                    const bool ragged = (i + phase) % 4 == 0;
+                    const unsigned width =
+                        ragged ? kBlockBits - 3 * bits : kBlockBits;
+                    const BitVec b = encoding::difftest::differentialBlock(
+                        rng, i, width, bits);
+                    ref->observe(b);
+                    word.observe(b);
+                    SCOPED_TRACE(::testing::Message() << "block " << i);
+                    expectSameStats(word, *ref);
+                    if (::testing::Test::HasFailure())
+                        return;
+                }
+            }
+        }
+    }
 }

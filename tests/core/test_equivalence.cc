@@ -8,8 +8,8 @@
  * stream keeps the transmitter's and receiver's skip state in step.
  *
  * The second half pins the fast path figure runs take — DescScheme's
- * batched encoder pass, with the scalar walk as its reference —
- * against the ticked link, including encoder switches mid-stream, the
+ * word pass, with the scalar walk as its reference — against the
+ * ticked link, including the reference hook toggled mid-stream, the
  * ECC bus layouts, and the per-cycle observers only the ticked loop
  * serves.
  */
@@ -25,6 +25,8 @@
 #include "core/descscheme.hh"
 #include "core/link.hh"
 #include "ecc/blockcodec.hh"
+
+#include "../encoding/differential.hh"
 
 using namespace desc;
 using namespace desc::core;
@@ -297,6 +299,14 @@ expectSameResult(const encoding::TransferResult &fast,
     ASSERT_EQ(fast.skipped, ticked.skipped) << "block " << block_no;
 }
 
+/** A scheme built on the scalar reference walk. */
+DescScheme
+referenceScheme(const DescConfig &cfg)
+{
+    encoding::difftest::ReferenceEncoders on;
+    return DescScheme(cfg);
+}
+
 /** The link's endpoints agree on all skip state they carry forward. */
 void
 expectEndpointsInStep(DescLink &link, int block_no)
@@ -311,10 +321,10 @@ expectEndpointsInStep(DescLink &link, int block_no)
 
 /**
  * The fast path against the ticked loop. Figure runs move every DESC
- * block through the behavioral DescScheme, which takes the batched
- * encoder pass where the layout allows and the scalar walk
- * otherwise; the ticked DescLink is the circuit both stand in for.
- * Batched and scalar DescScheme must agree with the ticked link on
+ * block through the behavioral DescScheme, which takes the word pass
+ * where the geometry allows and the scalar walk otherwise; the ticked
+ * DescLink is the circuit both stand in for. The default DescScheme
+ * and one built on the reference walk must agree with the ticked link on
  * every TransferResult field, block after block, while the link
  * recovers every block.
  */
@@ -326,11 +336,9 @@ TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
 {
     DescConfig cfg = config();
     DescScheme fast(cfg);
-    DescScheme scalar(cfg);
+    DescScheme scalar = referenceScheme(cfg);
     DescLink ticked(cfg);
-    fast.setEncoderMode(encoding::EncoderMode::Batched);
-    scalar.setEncoderMode(encoding::EncoderMode::Scalar);
-    ASSERT_FALSE(scalar.usesBatchedPath());
+    ASSERT_FALSE(scalar.usesWordPass());
     Rng rng(0xfa57 + cfg.bus_wires * 131 + cfg.chunk_bits * 7
             + unsigned(cfg.skip));
 
@@ -364,10 +372,8 @@ TEST_P(LinkFastPath, ExtremeBlocks)
 {
     DescConfig cfg = config();
     DescScheme fast(cfg);
-    DescScheme scalar(cfg);
+    DescScheme scalar = referenceScheme(cfg);
     DescLink ticked(cfg);
-    fast.setEncoderMode(encoding::EncoderMode::Batched);
-    scalar.setEncoderMode(encoding::EncoderMode::Scalar);
 
     BitVec zeros(kBlockBits);
     BitVec ones(kBlockBits);
@@ -387,31 +393,32 @@ TEST_P(LinkFastPath, ExtremeBlocks)
 
 TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
 {
-    // Switching the encoder mid-stream converts the wire history
-    // between the byte-per-wire and packed-word forms, so a scheme
-    // that alternates between the two passes must stay
+    // The reference hook is read once, at construction. Toggling it
+    // between blocks must move neither a scheme built with it on nor
+    // one built with it off from its latched path, and both must stay
     // indistinguishable from the ticked link.
     DescConfig cfg = config();
-    DescScheme mixed(cfg);
+    DescScheme ref = referenceScheme(cfg);
+    DescScheme word(cfg);
+    const bool word_pass = word.usesWordPass();
     DescLink ticked(cfg);
     Rng rng(0x1237 + cfg.bus_wires + cfg.chunk_bits);
+    encoding::difftest::ReferenceEncoders restore_on_exit;
 
     BitVec prev(kBlockBits);
     for (int i = 0; i < 60; i++) {
         BitVec block = biasedBlock(rng, prev, cfg.chunk_bits, 0.4, 0.3);
         prev = block;
 
-        const bool scalar_turn = i % 3 == 1;
-        mixed.setEncoderMode(scalar_turn ? encoding::EncoderMode::Scalar
-                                         : encoding::EncoderMode::Batched);
-        if (scalar_turn) {
-            ASSERT_FALSE(mixed.usesBatchedPath()) << "block " << i;
-        }
+        encoding::setReferenceEncoders(i % 3 == 1);
+        ASSERT_FALSE(ref.usesWordPass()) << "block " << i;
+        ASSERT_EQ(word.usesWordPass(), word_pass) << "block " << i;
 
         BitVec recv;
         auto rt = ticked.transferBlock(block, &recv);
         ASSERT_EQ(recv, block) << "block " << i;
-        expectSameResult(mixed.transfer(block), rt, i);
+        expectSameResult(ref.transfer(block), rt, i);
+        expectSameResult(word.transfer(block), rt, i);
     }
 }
 

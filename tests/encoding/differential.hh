@@ -2,7 +2,7 @@
  * @file
  * Shared pieces of the segment-scheme differential tests: a block
  * stream that walks the decision boundaries of the word passes, and a
- * guard that builds a scheme under a forced encoder mode.
+ * guard that builds schemes on their scalar reference walk.
  */
 
 #ifndef DESC_TESTS_ENCODING_DIFFERENTIAL_HH
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 
 #include "common/bitvec.hh"
 #include "common/rng.hh"
@@ -19,15 +18,16 @@
 
 namespace desc::encoding::difftest {
 
-/** Forces the process-wide default encoder mode for one scope. */
-struct ForcedEncoderMode
+/**
+ * Turns the setReferenceEncoders() hook on for one scope: schemes
+ * built inside it take the scalar reference walk for life.
+ */
+struct ReferenceEncoders
 {
-    explicit ForcedEncoderMode(EncoderMode mode)
-    {
-        setDefaultEncoderMode(mode);
-    }
-
-    ~ForcedEncoderMode() { setDefaultEncoderMode(std::nullopt); }
+    ReferenceEncoders() { setReferenceEncoders(true); }
+    ~ReferenceEncoders() { setReferenceEncoders(false); }
+    ReferenceEncoders(const ReferenceEncoders &) = delete;
+    ReferenceEncoders &operator=(const ReferenceEncoders &) = delete;
 };
 
 /**

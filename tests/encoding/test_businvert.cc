@@ -169,7 +169,6 @@ TEST(BusInvertDeath, RejectsIndivisibleSegments)
  */
 TEST(BusInvertDifferential, WordPassMatchesScalarReference)
 {
-    using difftest::ForcedEncoderMode;
     const Mode modes[] = {Mode::Plain, Mode::ZeroSkipSparse,
                           Mode::ZeroSkipEncoded};
     const unsigned wires_set[] = {64, 128, 192, 256, 512};
@@ -180,13 +179,10 @@ TEST(BusInvertDifferential, WordPassMatchesScalarReference)
                     const SchemeConfig c = cfg(wires, seg, block_bits);
                     std::unique_ptr<BusInvertScheme> ref, word;
                     {
-                        ForcedEncoderMode f(EncoderMode::Scalar);
+                        difftest::ReferenceEncoders on;
                         ref = std::make_unique<BusInvertScheme>(c, mode);
                     }
-                    {
-                        ForcedEncoderMode f(EncoderMode::Batched);
-                        word = std::make_unique<BusInvertScheme>(c, mode);
-                    }
+                    word = std::make_unique<BusInvertScheme>(c, mode);
                     ASSERT_FALSE(ref->usesWordPass());
                     ASSERT_TRUE(word->usesWordPass());
                     SCOPED_TRACE(::testing::Message()
@@ -214,7 +210,6 @@ TEST(BusInvertDifferential, WordPassMatchesScalarReference)
 
 TEST(BusInvertDifferential, WordPassNeedsWholeWordsOfSegments)
 {
-    difftest::ForcedEncoderMode f(EncoderMode::Batched);
     EXPECT_TRUE(BusInvertScheme(cfg(64, 16), Mode::Plain).usesWordPass());
     // A bus narrower than a word, and a segment that is not a power
     // of two, stay on the scalar walk.

@@ -110,28 +110,24 @@ TEST(Dzc, RandomStreamFlipsNeverExceedBinaryPlusIndicators)
 }
 
 /**
- * The batched pass against the scalar reference over the same
+ * The word pass against the scalar reference over the same
  * geometries and block stream as the bus-invert differential test.
  */
 TEST(DzcDifferential, BatchedPassMatchesScalarReference)
 {
-    using difftest::ForcedEncoderMode;
     const unsigned wires_set[] = {64, 128, 192, 256, 512};
     for (unsigned seg = 1; seg <= 64; seg *= 2) {
         for (unsigned wires : wires_set) {
             for (unsigned block_bits : {kBlockBits, 200u}) {
                 const SchemeConfig c = cfg(wires, seg, block_bits);
-                std::unique_ptr<DynamicZeroScheme> ref, batched;
+                std::unique_ptr<DynamicZeroScheme> ref, word;
                 {
-                    ForcedEncoderMode f(EncoderMode::Scalar);
+                    difftest::ReferenceEncoders on;
                     ref = std::make_unique<DynamicZeroScheme>(c);
                 }
-                {
-                    ForcedEncoderMode f(EncoderMode::Batched);
-                    batched = std::make_unique<DynamicZeroScheme>(c);
-                }
-                ASSERT_FALSE(ref->usesBatchedPath());
-                ASSERT_TRUE(batched->usesBatchedPath());
+                word = std::make_unique<DynamicZeroScheme>(c);
+                ASSERT_FALSE(ref->usesWordPass());
+                ASSERT_TRUE(word->usesWordPass());
                 SCOPED_TRACE(::testing::Message()
                              << "seg " << seg << " wires " << wires
                              << " block " << block_bits);
@@ -139,11 +135,11 @@ TEST(DzcDifferential, BatchedPassMatchesScalarReference)
                 for (unsigned i = 0; i < 96; i++) {
                     if (i == 50) {
                         ref->reset();
-                        batched->reset();
+                        word->reset();
                     }
                     const BitVec b = difftest::differentialBlock(
                         rng, i, block_bits, seg);
-                    difftest::expectSameResult(batched->transfer(b),
+                    difftest::expectSameResult(word->transfer(b),
                                               ref->transfer(b));
                     if (::testing::Test::HasFailure())
                         return;
@@ -155,8 +151,7 @@ TEST(DzcDifferential, BatchedPassMatchesScalarReference)
 
 TEST(DzcDifferential, BatchedPassNeedsWholeWordsOfSegments)
 {
-    difftest::ForcedEncoderMode f(EncoderMode::Batched);
-    EXPECT_TRUE(DynamicZeroScheme(cfg(64, 16)).usesBatchedPath());
-    EXPECT_FALSE(DynamicZeroScheme(cfg(32, 8)).usesBatchedPath());
-    EXPECT_FALSE(DynamicZeroScheme(cfg(48, 24, 96)).usesBatchedPath());
+    EXPECT_TRUE(DynamicZeroScheme(cfg(64, 16)).usesWordPass());
+    EXPECT_FALSE(DynamicZeroScheme(cfg(32, 8)).usesWordPass());
+    EXPECT_FALSE(DynamicZeroScheme(cfg(48, 24, 96)).usesWordPass());
 }

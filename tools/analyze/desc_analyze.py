@@ -225,8 +225,8 @@ def registry_sanity(root):
             print(f"{REGISTRY_DEF}: {e['name']} has no usable doc "
                   f"string")
             ok = False
-        if e["type"] not in ("int", "float", "bool", "enum", "flag",
-                             "toggle", "path", "spec"):
+        if e["type"] not in ("int", "float", "bool", "flag", "toggle",
+                             "path", "spec"):
             print(f"{REGISTRY_DEF}: {e['name']} has unknown type "
                   f"\"{e['type']}\"")
             ok = False
