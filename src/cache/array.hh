@@ -7,16 +7,22 @@
  * host), with the LRU stamps and the per-line metadata in parallel
  * arrays that only hit and maintenance paths touch. Lines are
  * addressed by a stable integer Way handle (set * assoc + way).
+ *
+ * All three arrays start as zero pages (ZeroArray): an all-zero line
+ * is an invalid line with default metadata, so a large cache whose run
+ * visits a few sets faults in only the pages those sets live on.
  */
 
 #ifndef DESC_CACHE_ARRAY_HH
 #define DESC_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "common/contract.hh"
 #include "common/log.hh"
 #include "common/types.hh"
+#include "common/zeroarray.hh"
 
 namespace desc::cache {
 
@@ -42,9 +48,9 @@ class SetAssocArray
         DESC_ASSERT((_sets & (_sets - 1)) == 0,
                     "set count must be a power of two: ", _sets);
         const std::size_t lines = std::size_t(_sets) * assoc;
-        _tagv.assign(lines, 0);
-        _lru.assign(lines, 0);
-        _meta.resize(lines);
+        _tagv = ZeroArray<std::uint64_t>(lines);
+        _lru = ZeroArray<std::uint64_t>(lines);
+        _meta = ZeroArray<Meta>(lines);
     }
 
     unsigned numSets() const { return _sets; }
@@ -86,6 +92,24 @@ class SetAssocArray
                 return base + w;
         }
         return kNoWay;
+    }
+
+    /**
+     * Store the empty state into every line of @p set. On a set that
+     * was never touched this changes nothing but how its zero pages
+     * fault in: a first load of a zero page maps the kernel's shared
+     * zero page and the first store then faults a second time, while
+     * a first store faults once.
+     */
+    void
+    clearSet(unsigned set)
+    {
+        for (Way way = Way(set) * _assoc; way < Way(set + 1) * _assoc;
+             way++) {
+            _tagv[way] = 0;
+            _lru[way] = 0;
+            _meta[way] = Meta{};
+        }
     }
 
     /** Mark a line most-recently used. */
@@ -154,15 +178,26 @@ class SetAssocArray
         _meta[way] = Meta{};
     }
 
-    /** Iterate all valid lines (for inclusive-eviction bookkeeping). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn)
+    /**
+     * Block addresses of the valid lines of @p set, least recently
+     * used first: the set's whole replacement state, comparable
+     * between two arrays whose LRU clocks differ (tests).
+     */
+    std::vector<Addr>
+    setSnapshot(unsigned set) const
     {
-        for (Way way = 0; way < Way(_tagv.size()); way++) {
-            if (valid(way))
-                fn(way);
+        // Test inspection, never on a simulated path.
+        std::vector<Way> ways; // analyze:allow(hot-path-alloc)
+        for (unsigned w = 0; w < _assoc; w++) {
+            if (valid(Way(set) * _assoc + w))
+                ways.push_back(Way(set) * _assoc + w);
         }
+        std::sort(ways.begin(), ways.end(),
+                  [this](Way a, Way b) { return _lru[a] < _lru[b]; });
+        std::vector<Addr> addrs; // analyze:allow(hot-path-alloc)
+        for (Way way : ways)
+            addrs.push_back(addrOf(way));
+        return addrs;
     }
 
   private:
@@ -172,9 +207,10 @@ class SetAssocArray
     std::uint64_t _clock = 0;
 
     /** tag << 1 | valid, per line; the only array probes touch. */
-    std::vector<std::uint64_t> _tagv;
-    std::vector<std::uint64_t> _lru;
-    std::vector<Meta> _meta;
+    ZeroArray<std::uint64_t> _tagv;
+    ZeroArray<std::uint64_t> _lru;
+    /** Meta{} must be all-zero bytes: that is a fresh line's state. */
+    ZeroArray<Meta> _meta;
 };
 
 } // namespace desc::cache

@@ -42,7 +42,8 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
     : _eq(eq), _cfg(l2cfg), _energy_model(l2cfg.org), _backing(backing),
       _dram(eq, dram_cfg),
       _l2(l2cfg.org.capacity_bytes, l2cfg.org.assoc, l2cfg.org.block_bytes),
-      _l2_slot(std::size_t(_l2.numSets()) * _l2.assoc(), kNoSlot),
+      _l2_slot(std::size_t(_l2.numSets()) * _l2.assoc()),
+      _l2_cold((_l2.numSets() + 63) / 64, ~std::uint64_t{0}),
       _scratch(0), _scratch_raw(l2cfg.scheme_cfg.block_bits),
       _chunk_stats(l2cfg.scheme_cfg.chunk_bits == 0
                        ? 4
@@ -160,11 +161,11 @@ MemHierarchy::evictL1Victim(unsigned core, L1Array &l1, Addr addr,
     Addr va = l1.addrOf(v);
     L1Meta &vm = l1.meta(v);
     if (!ifetch) {
-        auto l2way = _l2.lookup(va);
+        auto l2way = warmL2(va).lookup(va);
         if (vm.state == MesiState::Modified) {
             _stats.l2_writebacks_in.inc();
             if (l2way != L2Array::kNoWay) {
-                L2Meta &lm = _l2.meta(l2way);
+                L2Meta &lm = l2Meta(l2way);
                 l2Slot(l2way) = vm.data;
                 lm.dirty = true;
                 lm.virgin = false;
@@ -173,10 +174,10 @@ MemHierarchy::evictL1Victim(unsigned core, L1Array &l1, Addr addr,
                      _eq.now() + _cfg.ctrl_latency + _flight);
         }
         if (l2way != L2Array::kNoWay) {
-            L2Meta &lm = _l2.meta(l2way);
+            L2Meta &lm = l2Meta(l2way);
             lm.sharers &= std::uint8_t(~(1u << core));
-            if (lm.owner == core)
-                lm.owner = kNoOwner;
+            if (lm.ownedBy(core))
+                lm.clearOwner();
         }
     }
     l1.invalidate(v);
@@ -187,12 +188,12 @@ bool
 MemHierarchy::recallForShared(L2Array::Way way, Addr addr,
                               Cycle earliest, Cycle *ready)
 {
-    L2Meta &lm = _l2.meta(way);
+    L2Meta &lm = l2Meta(way);
     *ready = earliest;
-    if (lm.owner == kNoOwner)
+    if (!lm.owned())
         return false;
-    unsigned owner = lm.owner;
-    lm.owner = kNoOwner;
+    unsigned owner = lm.owner();
+    lm.clearOwner();
     auto l1way = _l1d[owner].lookup(addr);
     if (l1way == L1Array::kNoWay)
         return false;
@@ -219,7 +220,7 @@ MemHierarchy::invalidateSharers(L2Array::Way way, Addr addr,
                                 unsigned except_core, Cycle earliest,
                                 Cycle *ready)
 {
-    L2Meta &lm = _l2.meta(way);
+    L2Meta &lm = l2Meta(way);
     *ready = earliest;
     bool recalled = false;
     std::uint8_t sharers = lm.sharers;
@@ -242,8 +243,8 @@ MemHierarchy::invalidateSharers(L2Array::Way way, Addr addr,
         }
         lm.sharers &= std::uint8_t(~(1u << c));
     }
-    if (lm.owner != kNoOwner && lm.owner != except_core)
-        lm.owner = kNoOwner;
+    if (lm.owned() && !lm.ownedBy(except_core))
+        lm.clearOwner();
     // Postcondition: only the exempted core may still share the line,
     // and the directory cannot name an evicted sharer as owner.
     DESC_DCHECK(except_core >= 8
@@ -251,9 +252,8 @@ MemHierarchy::invalidateSharers(L2Array::Way way, Addr addr,
                         & std::uint8_t(~(1u << except_core))) == 0,
                 "sharers survived invalidation: bitmap ",
                 unsigned(lm.sharers), " except core ", except_core);
-    DESC_DCHECK(lm.owner == kNoOwner || lm.owner == except_core,
-                "stale owner ", unsigned(lm.owner),
-                " after invalidation");
+    DESC_DCHECK(!lm.owned() || lm.ownedBy(except_core),
+                "stale owner ", lm.owner(), " after invalidation");
     return recalled;
 }
 
@@ -269,7 +269,7 @@ MemHierarchy::fillL1(const MshrEntry::Waiter &w, Addr addr,
     }
     L1Meta &l1m = l1.meta(way);
     l1m.data = l2Data(l2way);
-    L2Meta &l2m = _l2.meta(l2way);
+    L2Meta &l2m = l2Meta(l2way);
     if (w.ifetch) {
         // Instruction lines are read-only and not directory-tracked.
         l1m.state = MesiState::Shared;
@@ -277,13 +277,16 @@ MemHierarchy::fillL1(const MshrEntry::Waiter &w, Addr addr,
     }
     if (w.exclusive) {
         l1m.state = MesiState::Exclusive;
-        l2m.owner = std::uint8_t(w.core);
+        l2m.setOwner(w.core);
         l2m.sharers = std::uint8_t(1u << w.core);
     } else {
         bool alone = l2m.sharers == 0;
         l1m.state = alone ? MesiState::Exclusive : MesiState::Shared;
         l2m.sharers |= std::uint8_t(1u << w.core);
-        l2m.owner = alone ? std::uint8_t(w.core) : kNoOwner;
+        if (alone)
+            l2m.setOwner(w.core);
+        else
+            l2m.clearOwner();
     }
 }
 
@@ -341,7 +344,7 @@ MemHierarchy::respond(ResponseEvent &ev)
     if (ev.sample_hit)
         _stats.hit_latency.sample(double(_eq.now() - ev.t0));
     const Addr addr = ev.addr;
-    auto way = _l2.lookup(addr);
+    auto way = warmL2(addr).lookup(addr);
     for (auto &w : ev.waiters) {
         if (way != L2Array::kNoWay) {
             fillL1(w, addr, way);
@@ -384,7 +387,7 @@ MemHierarchy::l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w)
         return;
     }
 
-    auto way = _l2.lookup(addr);
+    auto way = warmL2(addr).lookup(addr);
     if (way == L2Array::kNoWay) {
         startMiss(addr, t0, std::move(w));
         return;
@@ -403,8 +406,7 @@ MemHierarchy::l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w)
     if (w.exclusive) {
         if (invalidateSharers(way, addr, w.core, earliest, &ready))
             ready += _cfg.recall_latency;
-    } else if (_l2.meta(way).owner != kNoOwner
-               && _l2.meta(way).owner != w.core) {
+    } else if (l2Meta(way).owned() && !l2Meta(way).ownedBy(w.core)) {
         if (recallForShared(way, addr, earliest, &ready))
             ready += _cfg.recall_latency;
     }
@@ -470,8 +472,8 @@ MemHierarchy::finishMiss(Addr addr)
     // Prefer victims without live L1 copies: evicting an L1-resident
     // line forces an inclusive back-invalidation that would wipe the
     // cores' hot sets whenever the L2 churns.
-    auto v = _l2.victimPreferring(addr, [](const L2Meta &m) {
-        return m.sharers != 0 || m.owner != kNoOwner;
+    auto v = warmL2(addr).victimPreferring(addr, [](const L2Meta &m) {
+        return m.sharers != 0 || m.owned();
     });
     unsigned bank = bankOf(addr);
     if (_l2.valid(v)) {
@@ -479,7 +481,7 @@ MemHierarchy::finishMiss(Addr addr)
         // Inclusive hierarchy: L1 copies of the victim must go.
         Cycle ready;
         invalidateSharers(v, va, unsigned(-1), _eq.now(), &ready);
-        if (_l2.meta(v).dirty) {
+        if (l2Meta(v).dirty) {
             _stats.l2_evictions_out.inc();
             DESC_TRACE_EVENT(Cache, _eq.now(),
                              "L2 dirty eviction: addr 0x", std::hex,
@@ -530,26 +532,70 @@ void
 MemHierarchy::prefill(Addr addr)
 {
     addr = blockAddr(addr);
-    if (_l2.lookup(addr) != L2Array::kNoWay)
+    L2Array &l2 = warmL2(addr);
+    if (l2.lookup(addr) != L2Array::kNoWay)
         return;
-    auto v = _l2.victimPreferring(addr, [](const L2Meta &m) {
-        return m.sharers != 0 || m.owner != kNoOwner;
+    auto v = l2.victimPreferring(addr, [](const L2Meta &m) {
+        return m.sharers != 0 || m.owned();
     });
-    if (_l2.valid(v) && _l2.meta(v).dirty)
-        _backing.store(_l2.addrOf(v), l2Data(v));
-    _l2.invalidate(v);
-    _l2.fill(v, addr);
+    if (l2.valid(v) && l2Meta(v).dirty)
+        _backing.store(l2.addrOf(v), l2Data(v));
+    l2.invalidate(v);
+    l2.fill(v, addr);
     // Tag-only install: the payload stays virgin until the first read
     // materializes it (l2Data()). Warming ~70% of the L2 then costs
     // tag walks instead of a value-model synthesis per block, and a
     // line that is never read never pays one at all.
-    _l2.meta(v).virgin = true;
+    l2Meta(v).virgin = true;
+}
+
+void
+MemHierarchy::setWarmupPlan(std::vector<WarmupRange> plan)
+{
+    // Replay finds a set's blocks by arithmetic on 64-byte block
+    // numbers, the granule blockAddr() and bankOf() also assume.
+    DESC_ASSERT(_cfg.org.block_bytes == 64,
+                "warm-up replay needs 64-byte L2 blocks, not ",
+                _cfg.org.block_bytes);
+    for (std::uint64_t cold : _l2_cold)
+        DESC_ASSERT(cold == ~std::uint64_t{0},
+                    "warm-up plan set after the L2 was touched");
+    _warmup = std::move(plan);
+}
+
+void
+MemHierarchy::replayWarmup(unsigned set)
+{
+    _l2_cold[set >> 6] &= ~(std::uint64_t{1} << (set & 63));
+    // The set's first touch: store its (already empty) state so its
+    // pages fault in once, writable (see SetAssocArray::clearSet).
+    _l2.clearSet(set);
+    for (unsigned w = 0; w < _l2.assoc(); w++)
+        _l2_slot[std::size_t(set) * _l2.assoc() + w] = 0;
+    // In a range starting at block b0, block k lands in set
+    // (b0 + k) mod sets: the set's blocks are k = (set - b0) mod sets
+    // and every further `sets` blocks. (Unsigned wrap-around is exact
+    // because sets divides 2^64.)
+    const std::uint64_t sets = _l2.numSets();
+    for (const WarmupRange &r : _warmup) {
+        const std::uint64_t b0 = r.base / 64;
+        for (std::uint64_t k = (set - b0) & (sets - 1); k < r.blocks;
+             k += sets)
+            prefill(r.base + k * 64);
+    }
+}
+
+std::vector<Addr>
+MemHierarchy::l2SetSnapshot(unsigned set)
+{
+    // Block number `set` lies in set `set`.
+    return warmL2(Addr(set) * _cfg.org.block_bytes).setSnapshot(set);
 }
 
 const Block512 &
 MemHierarchy::l2Data(L2Array::Way way)
 {
-    L2Meta &m = _l2.meta(way);
+    L2Meta &m = l2Meta(way);
     Block512 &data = l2Slot(way);
     if (m.virgin) {
         data = _backing.fetch(_l2.addrOf(way));
@@ -561,12 +607,14 @@ MemHierarchy::l2Data(L2Array::Way way)
 Block512 &
 MemHierarchy::l2Slot(L2Array::Way way)
 {
+    DESC_DCHECK(!l2SetCold(way / _l2.assoc()),
+                "L2 way ", way, " written before its set was warmed");
     std::uint32_t &slot = _l2_slot[way];
-    if (slot == kNoSlot) {
-        slot = std::uint32_t(_l2_pool.size());
+    if (slot == 0) {
         _l2_pool.emplace_back();
+        slot = std::uint32_t(_l2_pool.size());
     }
-    return _l2_pool[slot];
+    return _l2_pool[slot - 1];
 }
 
 std::optional<Cycle>
@@ -599,13 +647,13 @@ MemHierarchy::access(unsigned core, Addr addr, bool is_write,
         // data transfer).
         _stats.upgrades.inc();
         Addr ba = blockAddr(addr);
-        auto l2way = _l2.lookup(ba);
+        auto l2way = warmL2(ba).lookup(ba);
         if (l2way != L2Array::kNoWay) {
             Cycle ready;
             invalidateSharers(l2way, ba, core,
                               _eq.now() + _cfg.ctrl_latency, &ready);
-            _l2.meta(l2way).owner = std::uint8_t(core);
-            _l2.meta(l2way).sharers = std::uint8_t(1u << core);
+            l2Meta(l2way).setOwner(core);
+            l2Meta(l2way).sharers = std::uint8_t(1u << core);
         }
         lm.state = MesiState::Modified;
         lm.data[word] = store_value;

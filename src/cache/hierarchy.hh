@@ -23,6 +23,7 @@
 
 #include "cache/array.hh"
 #include "cache/blockdata.hh"
+#include "common/contract.hh"
 #include "common/stats.hh"
 #include "core/chunk.hh"
 #include "dram/ddr3.hh"
@@ -143,6 +144,16 @@ struct HierarchyStats
     Average transfer_window;  //!< serialization cycles per transfer
 };
 
+/**
+ * A contiguous run of functional warm-up: the @p blocks 64-byte blocks
+ * starting at @p base, prefilled in address order.
+ */
+struct WarmupRange
+{
+    Addr base = 0;
+    std::uint64_t blocks = 0;
+};
+
 class MemHierarchy
 {
   public:
@@ -182,14 +193,43 @@ class MemHierarchy
      * data read (l2Data()). Since the backing contents of a
      * never-written block are a pure function of its address, the
      * observable data stream is identical to an eager fill.
+     *
+     * runSystem does not call this block by block: setWarmupPlan()
+     * replays each set's share of the warm-up through it lazily. A
+     * direct call is the eager form (tests use it as the oracle).
      */
     void prefill(Addr addr);
+
+    /**
+     * Warm the L2 with @p plan, the ordered block ranges an eager
+     * warm-up would prefill() one by one, without walking it: the
+     * first access to each set replays the set's share of the plan
+     * through prefill(), in plan order, before the access proceeds.
+     *
+     * This is exact. The plan runs into an empty L2, so no replayed
+     * line is dirty or shared; a set's final contents depend only on
+     * the subsequence of plan blocks that map to it; LRU stamps are
+     * only compared within a set; and replay precedes every other
+     * access to its set. Call it at most once, before any access or
+     * prefill.
+     */
+    void setWarmupPlan(std::vector<WarmupRange> plan);
 
     /** Blocks in the L2 payload pool: one per way whose payload was
      *  ever written or materialized (tests). */
     std::size_t l2PayloadBlocks() const { return _l2_pool.size(); }
 
-  private:
+    /**
+     * The valid L2 lines of set @p set, least recently used first,
+     * after warming the set (tests: the set's replacement state).
+     */
+    std::vector<Addr> l2SetSnapshot(unsigned set);
+    unsigned l2Sets() const { return _l2.numSets(); }
+
+    /**
+     * Line state types. Both live in zero-page arrays (ZeroArray), so
+     * their default value must be all-zero bytes; a test checks it.
+     */
     struct L1Meta
     {
         MesiState state = MesiState::Invalid;
@@ -205,17 +245,28 @@ class MemHierarchy
     {
         bool dirty = false;
         std::uint8_t sharers = 0; //!< DL1 sharer bitmap
-        std::uint8_t owner = kNoOwner;
+        /** Owning DL1's core + 1; 0 when no core owns the line, so
+         *  that a zero line is unowned. Use the accessors. */
+        std::uint8_t owner_plus1 = 0;
         /** Prefilled line whose payload was never materialized: it
          *  must be loaded from the backing store before the first
          *  read (see l2Data()). Cleared by any full-block write. */
         bool virgin = false;
+
+        bool owned() const { return owner_plus1 != 0; }
+        bool
+        ownedBy(unsigned core) const
+        {
+            return owned() && owner_plus1 - 1u == core;
+        }
+        unsigned owner() const { return owner_plus1 - 1u; }
+        void setOwner(unsigned core) { owner_plus1 = std::uint8_t(core + 1); }
+        void clearOwner() { owner_plus1 = 0; }
     };
     static_assert(sizeof(L2Meta) <= 8,
                   "L2 line state must stay a few bytes per line");
 
-    static constexpr std::uint8_t kNoOwner = 0xff;
-
+  private:
     using L1Array = SetAssocArray<L1Meta>;
     using L2Array = SetAssocArray<L2Meta>;
 
@@ -307,6 +358,39 @@ class MemHierarchy
     }
 
     /**
+     * The L2 array, with the set of @p addr warmed first. Every
+     * address-keyed L2 probe (lookup, victim choice) goes through
+     * here, so a set replays its warm-up before anything reads it.
+     */
+    L2Array &
+    warmL2(Addr addr)
+    {
+        const unsigned set = _l2.setOf(addr);
+        if (l2SetCold(set))
+            replayWarmup(set);
+        return _l2;
+    }
+
+    bool
+    l2SetCold(unsigned set) const
+    {
+        return (_l2_cold[set >> 6] >> (set & 63)) & 1;
+    }
+
+    /** First touch of @p set: mark it warm, then prefill the blocks of
+     *  the warm-up plan that map to it. */
+    void replayWarmup(unsigned set);
+
+    /** Line state of L2 way @p way, which must sit in a warm set. */
+    L2Meta &
+    l2Meta(L2Array::Way way)
+    {
+        DESC_DCHECK(!l2SetCold(way / _l2.assoc()),
+                    "L2 way ", way, " read before its set was warmed");
+        return _l2.meta(way);
+    }
+
+    /**
      * Run @p data through a bank port. Returns the completion cycle
      * (transfer fully delivered); the bank stays busy until then.
      */
@@ -367,13 +451,19 @@ class MemHierarchy
 
     /**
      * L2 payloads: a block pool, and per way the index of its pool
-     * block (kNoSlot until the way's first payload write or
-     * materialization). A deque, so growth neither moves blocks that
-     * l2Data() references point at nor over-allocates by doubling.
+     * block plus one (0 until the way's first payload write or
+     * materialization, so the slot table starts as zero pages). A
+     * deque, so growth neither moves blocks that l2Data() references
+     * point at nor over-allocates by doubling.
      */
-    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
     std::deque<Block512> _l2_pool;
-    std::vector<std::uint32_t> _l2_slot;
+    ZeroArray<std::uint32_t> _l2_slot;
+
+    /** The warm-up plan (setWarmupPlan()) and one bit per L2 set
+     *  that nothing has touched yet: its first probe replays its share
+     *  of the plan, if any. */
+    std::vector<WarmupRange> _warmup;
+    std::vector<std::uint64_t> _l2_cold;
 
     /**
      * MSHRs as an index-stable pool plus a small active list. The

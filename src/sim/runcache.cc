@@ -15,15 +15,22 @@
 #include "common/trace.hh"
 #include "sim/statdump.hh"
 
+// DESC_MODEL_FINGERPRINT, generated by src/CMakeLists.txt.
+#include "model_fingerprint.hh"
+
 namespace desc::sim {
 
 namespace {
 
-/** Bumped whenever the hash input or file layout changes; stale
- *  entries then key differently and are never loaded. */
+/** Bumped whenever the hash input changes; stale entries then key
+ *  differently and are never loaded. It is part of configHash(), so
+ *  an entry layout change bumps kMagic instead and leaves the config
+ *  hashes (and everything keyed on them) as they were. */
 constexpr std::uint32_t kFormatVersion = 1;
 
-constexpr std::uint64_t kMagic = 0x4445534352554e31ULL; // "DESCRUN1"
+/** Entry file magic: the entry layout. Layout 2 ("DESCRUN2") stores
+ *  the model fingerprint after the key. */
+constexpr std::uint64_t kMagic = 0x4445534352554e32ULL; // "DESCRUN2"
 
 // --- canonical byte stream ---------------------------------------
 
@@ -416,6 +423,7 @@ emitManifestLine(const SystemConfig &cfg, const AppRun &run,
     std::fprintf(file,
                  "{\"app\": \"%s\", \"scheme\": \"%s\", "
                  "\"seed\": %llu, \"config_hash\": \"%s\", "
+                 "\"model_fingerprint\": \"%016llx\", "
                  "\"cached\": %s, \"wall_seconds\": %.6g, "
                  "\"worker\": \"%s\", \"cycles\": %llu, "
                  "\"instructions\": %llu, \"l2_uj\": %.6g, "
@@ -423,6 +431,7 @@ emitManifestLine(const SystemConfig &cfg, const AppRun &run,
                  cfg.app.name,
                  shortSchemeName(cfg.l2.scheme).c_str(),
                  (unsigned long long)cfg.seed, hash16,
+                 (unsigned long long)modelFingerprint(),
                  cached ? "true" : "false", wall_seconds, ctx.c_str(),
                  (unsigned long long)run.result.cycles,
                  (unsigned long long)run.result.instructions,
@@ -446,7 +455,14 @@ configHash(const SystemConfig &cfg)
     return h;
 }
 
-RunCache::RunCache(std::string dir) : _dir(std::move(dir))
+std::uint64_t
+modelFingerprint()
+{
+    return DESC_MODEL_FINGERPRINT;
+}
+
+RunCache::RunCache(std::string dir, std::uint64_t model)
+    : _dir(std::move(dir)), _model(model)
 {
     if (_dir.empty())
         return;
@@ -471,9 +487,9 @@ RunCache::fromEnv()
 std::string
 RunCache::path(std::uint64_t key) const
 {
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.run",
-                  (unsigned long long)key);
+    char name[48];
+    std::snprintf(name, sizeof(name), "%016llx-%016llx.run",
+                  (unsigned long long)key, (unsigned long long)_model);
     return _dir + "/" + name;
 }
 
@@ -494,7 +510,7 @@ RunCache::load(std::uint64_t key) const
     Reader r(std::move(bytes));
     if (r.u64() != kMagic || r.u32() != kFormatVersion)
         return std::nullopt;
-    if (r.u64() != key)
+    if (r.u64() != key || r.u64() != _model)
         return std::nullopt;
     return getRun(r);
 }
@@ -509,6 +525,7 @@ RunCache::store(std::uint64_t key, const AppRun &run) const
     w.u64(kMagic);
     w.u32(kFormatVersion);
     w.u64(key);
+    w.u64(_model);
     putRun(w, run);
 
     // Write to a private temp file, then atomically rename into

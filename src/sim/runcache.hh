@@ -6,19 +6,22 @@
  * evaluate is fully determined by its SystemConfig — simulations are
  * deterministically seeded — so finished AppRuns are serialized to a
  * small binary file keyed by a content hash of the complete scaled
- * configuration. Re-running a harness (or a different harness that
- * shares points) loads the unchanged points instead of re-simulating
- * them. Any config change, including DESC_SIM_SCALE via the scaled
- * instruction budget, changes the key and naturally invalidates the
- * entry; stale entries are simply never referenced again.
+ * configuration and by the model fingerprint, a build-time hash of
+ * every simulator source. Re-running a harness (or a different harness
+ * that shares points) loads the unchanged points instead of
+ * re-simulating them. Any config change, including DESC_SIM_SCALE via
+ * the scaled instruction budget, and any change to the model's
+ * sources changes the entry key and so invalidates the entry; stale
+ * entries are simply never referenced again.
  *
  * Environment:
  *  - DESC_SIM_CACHE=0 disables the cache entirely;
  *  - DESC_SIM_CACHE_DIR overrides the location (default
  *    ".desc-runcache" under the current directory);
  *  - DESC_RUN_MANIFEST=<path> appends one JSON line per executed run
- *    (config hash, app, seed, wall time, cached flag, headline
- *    stats) — a machine-readable profile of what a harness did.
+ *    (config hash, model fingerprint, app, seed, wall time, cached
+ *    flag, headline stats) — a machine-readable profile of what a
+ *    harness did.
  *
  * All entry points are thread-safe; the parallel Runner calls them
  * from every worker.
@@ -44,12 +47,26 @@ namespace desc::sim {
  */
 std::uint64_t configHash(const SystemConfig &cfg);
 
-/** A directory of serialized AppRuns keyed by configHash(). */
+/**
+ * Hash of every simulator source (src/, by relative path and
+ * content), generated at configure time. Changes whenever the model
+ * does; configHash() deliberately leaves it out.
+ */
+std::uint64_t modelFingerprint();
+
+/**
+ * A directory of serialized AppRuns. An entry is keyed by configHash()
+ * together with the model fingerprint of the build that wrote it, in
+ * both the file name and the header, so a build with a different model
+ * never loads it.
+ */
 class RunCache
 {
   public:
-    /** Cache rooted at @p dir; an empty dir disables the cache. */
-    explicit RunCache(std::string dir);
+    /** Cache rooted at @p dir for results of the model @p model; an
+     *  empty dir disables the cache. */
+    explicit RunCache(std::string dir,
+                      std::uint64_t model = modelFingerprint());
 
     /** Cache configured from the environment (see file comment). */
     static RunCache fromEnv();
@@ -68,6 +85,7 @@ class RunCache
     std::string path(std::uint64_t key) const;
 
     std::string _dir;
+    std::uint64_t _model;
 };
 
 /** The process-wide cache every cached run goes through. */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <ostream>
@@ -11,6 +12,7 @@
 #include "common/env.hh"
 #include "common/json.hh"
 #include "common/trace.hh"
+#include "sim/runcache.hh"
 
 namespace desc::sim {
 
@@ -231,6 +233,11 @@ buildRunRegistry(const SystemConfig &cfg, const AppRun &run,
     reg.addInt("run.seed", cfg.seed, "deterministic simulation seed");
     reg.addInt("run.config_hash", config_hash,
                "FNV-1a hash of the canonical scaled configuration");
+    char model[20];
+    std::snprintf(model, sizeof(model), "%016llx",
+                  (unsigned long long)modelFingerprint());
+    reg.addText("run.model_fingerprint", model,
+                "hash of the simulator sources that produced the run");
     reg.addInt("run.cores", cfg.cores, "simulated core count");
     reg.addInt("run.threads_per_core", cfg.threads_per_core,
                "SMT threads per core");

@@ -13,6 +13,36 @@
 
 namespace desc::sim {
 
+std::vector<cache::WarmupRange>
+warmupPlan(const SystemConfig &cfg)
+{
+    std::vector<cache::WarmupRange> plan;
+    auto add = [&plan](Addr base, std::uint64_t blocks) {
+        if (blocks > 0)
+            plan.push_back({base, blocks});
+    };
+    const unsigned threads = cfg.cpu == CpuKind::OutOfOrder
+        ? 1
+        : cfg.cores * cfg.threads_per_core;
+    std::uint64_t budget_blocks =
+        cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
+    const std::uint64_t hot_blocks = (cfg.app.hot_bytes + 63) / 64;
+    for (unsigned t = 0; t < threads && budget_blocks > 0; t++) {
+        const std::uint64_t n = std::min(hot_blocks, budget_blocks);
+        add(workloads::AppStream::hotBase(t), n);
+        budget_blocks -= n;
+    }
+    const std::uint64_t shared_blocks = std::min<std::uint64_t>(
+        cfg.app.ws_shared / 64, budget_blocks / 2);
+    add(workloads::AppStream::sharedBase(), shared_blocks);
+    budget_blocks -= shared_blocks;
+    const std::uint64_t priv_blocks = std::min<std::uint64_t>(
+        cfg.app.ws_private / 64, budget_blocks / threads);
+    for (unsigned t = 0; t < threads; t++)
+        add(workloads::AppStream::privateBase(t), priv_blocks);
+    return plan;
+}
+
 SimResult
 runSystem(const SystemConfig &cfg)
 {
@@ -26,35 +56,10 @@ runSystem(const SystemConfig &cfg)
 
     // Functional warmup: the timed region is a short sample of a much
     // longer execution, so the L2 must start with steady-state
-    // contents. Fill ~70% of it with the leading stripes of every
-    // region the threads touch (hot sets first, then shared and
-    // private data, round-robin).
-    {
-        unsigned threads = cfg.cpu == CpuKind::OutOfOrder
-            ? 1
-            : cfg.cores * cfg.threads_per_core;
-        std::uint64_t budget_blocks =
-            cfg.l2.org.capacity_bytes / cfg.l2.org.block_bytes * 7 / 10;
-        for (unsigned t = 0; t < threads && budget_blocks > 0; t++) {
-            Addr base = workloads::AppStream::hotBase(t);
-            for (Addr a = 0; a < cfg.app.hot_bytes && budget_blocks > 0;
-                 a += 64, budget_blocks--) {
-                mem.prefill(base + a);
-            }
-        }
-        std::uint64_t shared_blocks = std::min<std::uint64_t>(
-            cfg.app.ws_shared / 64, budget_blocks / 2);
-        for (Addr a = 0; a < shared_blocks; a++)
-            mem.prefill(workloads::AppStream::sharedBase() + a * 64);
-        budget_blocks -= shared_blocks;
-        std::uint64_t priv_blocks = std::min<std::uint64_t>(
-            cfg.app.ws_private / 64, budget_blocks / threads);
-        for (unsigned t = 0; t < threads; t++) {
-            Addr base = workloads::AppStream::privateBase(t);
-            for (Addr a = 0; a < priv_blocks; a++)
-                mem.prefill(base + a * 64);
-        }
-    }
+    // contents. The hierarchy replays each set's share of the plan at
+    // the set's first access, so the run pays only for the sets it
+    // visits.
+    mem.setWarmupPlan(warmupPlan(cfg));
 
     std::vector<std::unique_ptr<cpu::InOrderCore>> smt_cores;
     std::unique_ptr<cpu::OooCore> ooo_core;

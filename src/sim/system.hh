@@ -12,6 +12,8 @@
 #ifndef DESC_SIM_SYSTEM_HH
 #define DESC_SIM_SYSTEM_HH
 
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "workloads/app.hh"
 
@@ -54,6 +56,14 @@ struct SimResult
         return hierarchy.hit_latency.mean();
     }
 };
+
+/**
+ * The functional warm-up runSystem gives the L2 before its timed
+ * region, as the ordered block ranges an eager walk would prefill():
+ * ~70% of the L2 from the leading hot stripes, then shared data, then
+ * private data of every thread.
+ */
+std::vector<cache::WarmupRange> warmupPlan(const SystemConfig &cfg);
 
 /** Build, run to completion, and harvest one simulation. */
 SimResult runSystem(const SystemConfig &cfg);

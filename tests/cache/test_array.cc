@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/array.hh"
 
 using namespace desc;
@@ -119,13 +121,32 @@ TEST(SetAssocArray, InvalidateFreesTheLine)
     EXPECT_EQ(a.lookup(0x2000), Array::kNoWay);
 }
 
-TEST(SetAssocArray, ForEachVisitsAllValidLines)
+TEST(SetAssocArray, SetSnapshotListsValidLinesInLruOrder)
 {
-    Array a(16 * 1024, 4, 64);
+    Array a(16 * 1024, 4, 64); // 64 sets: stride 4096 stays in set 0
     a.fill(a.victim(0x0), 0x0);
-    a.fill(a.victim(0x40), 0x40);
-    a.fill(a.victim(0x80), 0x80);
-    unsigned count = 0;
-    a.forEach([&](Array::Way) { count++; });
-    EXPECT_EQ(count, 3u);
+    a.fill(a.victim(0x1000), 0x1000);
+    a.fill(a.victim(0x2000), 0x2000);
+    a.fill(a.victim(0x40), 0x40); // set 1
+    a.touch(a.lookup(0x0));
+    EXPECT_EQ(a.setSnapshot(0),
+              (std::vector<Addr>{0x1000, 0x2000, 0x0}));
+    EXPECT_EQ(a.setSnapshot(1), (std::vector<Addr>{0x40}));
+    a.invalidate(a.lookup(0x2000));
+    EXPECT_EQ(a.setSnapshot(0), (std::vector<Addr>{0x1000, 0x0}));
+    EXPECT_TRUE(a.setSnapshot(2).empty());
+}
+
+TEST(SetAssocArray, FreshArrayIsEmptyOnZeroPages)
+{
+    // A multi-megabyte array starts all-invalid with default
+    // metadata, without anything writing its lines.
+    Array a(64ull << 20, 16, 64);
+    EXPECT_EQ(a.lookup(0x123440), Array::kNoWay);
+    for (unsigned set : {0u, 4095u, a.numSets() - 1}) {
+        EXPECT_TRUE(a.setSnapshot(set).empty());
+        const Array::Way way = Array::Way(set) * a.assoc();
+        EXPECT_EQ(a.meta(way).tagval, 0);
+        EXPECT_FALSE(a.meta(way).pinned);
+    }
 }

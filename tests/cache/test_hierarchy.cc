@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <unordered_map>
 
 #include "cache/hierarchy.hh"
@@ -431,4 +432,33 @@ TEST(HierarchyPayloadPool, PrefillOverDirtyLineWritesPayloadBack)
     f.read(1, kLineB);
     EXPECT_EQ(f.mem->stats().l2_misses.value(), 5u); // A + 4 strides
     EXPECT_EQ(f.mem->stats().l2_hits.value(), 1u);
+}
+
+TEST(HierarchyLineState, ZeroBytesAreTheDefaultLineState)
+{
+    // The L1 and L2 arrays start as zero pages, so an all-zero line
+    // must read as a default (invalid, clean, unowned) one.
+    MemHierarchy::L1Meta l1;
+    std::memset(static_cast<void *>(&l1), 0, sizeof(l1));
+    const MemHierarchy::L1Meta l1_default{};
+    EXPECT_EQ(l1.state, l1_default.state);
+    EXPECT_EQ(l1.data, l1_default.data);
+
+    const MemHierarchy::L2Meta l2_default{};
+    const unsigned char zeros[sizeof(MemHierarchy::L2Meta)] = {};
+    EXPECT_EQ(std::memcmp(&l2_default, zeros, sizeof(zeros)), 0);
+    EXPECT_FALSE(l2_default.owned());
+    EXPECT_FALSE(l2_default.ownedBy(0));
+    EXPECT_FALSE(l2_default.ownedBy(unsigned(-1)));
+
+    MemHierarchy::L2Meta m{};
+    m.setOwner(0);
+    EXPECT_TRUE(m.owned());
+    EXPECT_TRUE(m.ownedBy(0));
+    EXPECT_EQ(m.owner(), 0u);
+    m.setOwner(7);
+    EXPECT_TRUE(m.ownedBy(7));
+    EXPECT_FALSE(m.ownedBy(0));
+    m.clearOwner();
+    EXPECT_FALSE(m.owned());
 }

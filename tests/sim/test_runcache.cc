@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 #include <unistd.h>
 
 #include "sim/runcache.hh"
@@ -146,6 +147,48 @@ TEST(RunCache, StoreLoadRoundTrips)
     auto loaded = cache.load(key);
     ASSERT_TRUE(loaded.has_value());
     expectSameRun(*loaded, run);
+}
+
+TEST(RunCache, EntryFromAnotherModelIsAMiss)
+{
+    // A cached AppRun must never outlive the model that produced it:
+    // the entry key carries the model fingerprint.
+    TempCacheDir tmp;
+    const std::uint64_t old_model = 0x1111111111111111ULL;
+    const std::uint64_t new_model = 0x2222222222222222ULL;
+    RunCache old_cache(tmp.dir, old_model);
+    RunCache new_cache(tmp.dir, new_model);
+
+    auto cfg = scaledConfig(tinyConfig());
+    auto key = configHash(cfg);
+    old_cache.store(key, runScaledApp(cfg));
+    ASSERT_TRUE(old_cache.load(key).has_value());
+    EXPECT_FALSE(new_cache.load(key).has_value());
+
+    // The header carries the fingerprint too: an entry renamed to the
+    // other model's file name is still a miss there.
+    std::vector<std::filesystem::path> entries;
+    for (const auto &e : std::filesystem::directory_iterator(tmp.dir))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), 1u);
+    char name[48];
+    std::snprintf(name, sizeof(name), "%016llx-%016llx.run",
+                  (unsigned long long)key, (unsigned long long)new_model);
+    std::filesystem::rename(entries[0],
+                            std::filesystem::path(tmp.dir) / name);
+    EXPECT_FALSE(new_cache.load(key).has_value());
+    EXPECT_FALSE(old_cache.load(key).has_value());
+}
+
+TEST(RunCache, DefaultCacheUsesThisBuildsModelFingerprint)
+{
+    EXPECT_NE(modelFingerprint(), 0u);
+    TempCacheDir tmp;
+    auto cfg = scaledConfig(tinyConfig());
+    auto key = configHash(cfg);
+    RunCache(tmp.dir).store(key, runScaledApp(cfg));
+    EXPECT_TRUE(RunCache(tmp.dir, modelFingerprint()).load(key));
+    EXPECT_FALSE(RunCache(tmp.dir, ~modelFingerprint()).load(key));
 }
 
 TEST(RunCache, CorruptEntryIsAMiss)
