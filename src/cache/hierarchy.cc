@@ -70,15 +70,8 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
     unsigned banks = _cfg.org.banks;
     _banks.resize(banks);
     for (unsigned b = 0; b < banks; b++) {
-        if (_cfg.link_backed) {
-            _banks[b].read_scheme =
-                core::makeLinkBackedScheme(_cfg.scheme, eff);
-            _banks[b].write_scheme =
-                core::makeLinkBackedScheme(_cfg.scheme, eff);
-        } else {
-            _banks[b].read_scheme = core::makeScheme(_cfg.scheme, eff);
-            _banks[b].write_scheme = core::makeScheme(_cfg.scheme, eff);
-        }
+        _banks[b].read_scheme = core::makeScheme(_cfg.scheme, eff);
+        _banks[b].write_scheme = core::makeScheme(_cfg.scheme, eff);
         if (_cfg.snuca && banks > 1) {
             double frac = double(b) / double(banks - 1);
             _banks[b].route_latency = Cycle(
@@ -290,51 +283,23 @@ MemHierarchy::fillL1(const MshrEntry::Waiter &w, Addr addr,
     }
 }
 
-MemHierarchy::AccessEvent &
-MemHierarchy::acquireAccess()
-{
-    if (_access_free.empty()) {
-        _access_events.emplace_back();
-        _access_events.back().mh = this;
-        return _access_events.back();
-    }
-    AccessEvent *ev = _access_free.back();
-    _access_free.pop_back();
-    return *ev;
-}
-
-MemHierarchy::ResponseEvent &
-MemHierarchy::acquireResponse()
-{
-    if (_response_free.empty()) {
-        _response_events.emplace_back();
-        _response_events.back().mh = this;
-        return _response_events.back();
-    }
-    ResponseEvent *ev = _response_free.back();
-    _response_free.pop_back();
-    return *ev;
-}
-
 void
 MemHierarchy::accessEvent(AccessEvent &ev)
 {
     DESC_PROF_SCOPE(CacheRequest);
     const Addr ba = ev.ba;
     const Cycle t0 = ev.t0;
-    MshrEntry::Waiter w = ev.w;
-    ev.w.done = DoneCb{};
-    _access_free.push_back(&ev);
+    const MshrEntry::Waiter w = ev.w;
+    _access_events.release(ev);
     l2Request(ba, t0, w);
 }
 
 void
-MemHierarchy::tagProbe(TagProbeEvent &ev)
+MemHierarchy::tagProbe(unsigned mshr)
 {
     DESC_PROF_SCOPE(CacheMiss);
-    const Addr addr = ev.addr;
-    _tag_free.push_back(&ev);
-    _dram.access(addr, false, [this, addr]() { finishMiss(addr); });
+    _dram.access(_mshr_pool[mshr].addr, false,
+                 continuation<&MemHierarchy::finishMiss>(mshr));
 }
 
 void
@@ -362,17 +327,7 @@ MemHierarchy::respond(ResponseEvent &ev)
             w.done();
     }
     ev.waiters.clear(); // keeps the capacity
-    _response_free.push_back(&ev);
-}
-
-void
-MemHierarchy::deliver(DeliverEvent &ev)
-{
-    DoneCb cb = ev.cb;
-    ev.cb = DoneCb{};
-    _deliver_free.push_back(&ev);
-    if (cb)
-        cb();
+    _response_events.release(ev);
 }
 
 void
@@ -415,7 +370,7 @@ MemHierarchy::l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w)
     Cycle flight_back =
         _cfg.snuca ? _banks[bank].route_latency : _flight;
 
-    ResponseEvent &ev = acquireResponse();
+    ResponseEvent &ev = _response_events.acquire();
     ev.waiters.push_back(std::move(w));
     ev.addr = addr;
     ev.t0 = t0;
@@ -445,28 +400,23 @@ MemHierarchy::startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w)
         _mshr_free.pop_back();
     }
     MshrEntry &entry = _mshr_pool[idx];
+    entry.addr = addr;
     entry.exclusive_needed = w.exclusive;
     entry.waiters.push_back(std::move(w));
     _mshr_active.emplace_back(addr, idx);
 
     // Tag probe detects the miss, then the request goes to memory.
-    TagProbeEvent *tev;
-    if (_tag_free.empty()) {
-        _tag_events.emplace_back();
-        _tag_events.back().mh = this;
-        tev = &_tag_events.back();
-    } else {
-        tev = _tag_free.back();
-        _tag_free.pop_back();
-    }
-    tev->addr = addr;
-    _eq.schedule(*tev, t0 + _cfg.ctrl_latency + _flight + 2);
+    _eq.schedule(t0 + _cfg.ctrl_latency + _flight + 2,
+                 continuation<&MemHierarchy::tagProbe>(idx));
 }
 
 void
-MemHierarchy::finishMiss(Addr addr)
+MemHierarchy::finishMiss(unsigned idx)
 {
     DESC_PROF_SCOPE(CacheMiss);
+    const Addr addr = _mshr_pool[idx].addr;
+    DESC_ASSERT(findMshr(addr) == idx,
+                "miss completion for MSHR ", idx, " not in flight");
     const Block512 &mem = _backing.fetch(addr);
 
     // Prefer victims without live L1 copies: evicting an L1-resident
@@ -492,7 +442,7 @@ MemHierarchy::finishMiss(Addr addr)
             const Block512 &victim_data = l2Data(v);
             transfer(bank, victim_data, false, _eq.now());
             _backing.store(va, victim_data);
-            _dram.access(va, true, nullptr);
+            _dram.access(va, true, DoneCb{});
         }
         _l2.invalidate(v);
     }
@@ -505,11 +455,8 @@ MemHierarchy::finishMiss(Addr addr)
     transfer(bank, mem, true, _eq.now() + _cfg.ctrl_latency);
 
     Cycle resp = _eq.now() + _cfg.ctrl_latency;
-    auto idx = findMshr(addr);
-    DESC_ASSERT(idx != kNoMshr, "miss completion without MSHR");
-
     MshrEntry &entry = _mshr_pool[idx];
-    ResponseEvent &ev = acquireResponse();
+    ResponseEvent &ev = _response_events.acquire();
     ev.addr = addr;
     ev.t0 = 0;
     ev.sample_hit = false;
@@ -517,7 +464,7 @@ MemHierarchy::finishMiss(Addr addr)
         ev.waiters.push_back(w);
     entry.waiters.clear(); // keeps the capacity for the next miss
     for (auto &slot : _mshr_active) {
-        if (slot.first == addr) {
+        if (slot.second == idx) {
             slot = _mshr_active.back();
             _mshr_active.pop_back();
             break;
@@ -658,18 +605,7 @@ MemHierarchy::access(unsigned core, Addr addr, bool is_write,
         lm.state = MesiState::Modified;
         lm.data[word] = store_value;
         l1.touch(way);
-        Cycle lat = 2 * (_cfg.ctrl_latency + _flight);
-        DeliverEvent *dev;
-        if (_deliver_free.empty()) {
-            _deliver_events.emplace_back();
-            _deliver_events.back().mh = this;
-            dev = &_deliver_events.back();
-        } else {
-            dev = _deliver_free.back();
-            _deliver_free.pop_back();
-        }
-        dev->cb = done;
-        _eq.scheduleIn(*dev, lat);
+        _eq.scheduleIn(2 * (_cfg.ctrl_latency + _flight), done);
         return std::nullopt;
     }
 
@@ -679,7 +615,7 @@ MemHierarchy::access(unsigned core, Addr addr, bool is_write,
     Cycle t0 = _eq.now() + 2; // L1 probe detects the miss
     MshrEntry::Waiter w{core,  is_write,    ifetch, is_write,
                         addr,  store_value, done};
-    AccessEvent &ev = acquireAccess();
+    AccessEvent &ev = _access_events.acquire();
     ev.ba = ba;
     ev.t0 = t0;
     ev.w = w;

@@ -34,25 +34,9 @@
 
 namespace desc::cache {
 
-/**
- * Completion callback for an asynchronous access: a plain function
- * pointer plus a context pointer and a small integer argument. All
- * core models key their continuations on (object, thread id), so this
- * covers every caller without the type erasure and heap spill of
- * std::function (whose captures exceed the libstdc++ small-buffer
- * size on the hot miss path).
- */
-struct DoneCb
-{
-    using Fn = void (*)(void *ctx, unsigned arg);
-
-    Fn fn = nullptr;
-    void *ctx = nullptr;
-    unsigned arg = 0;
-
-    explicit operator bool() const { return fn != nullptr; }
-    void operator()() const { fn(ctx, arg); }
-};
+/** Completion callback of an asynchronous access: the kernel's
+ *  continuation type (see sim::DoneCb). */
+using sim::DoneCb;
 
 /** MESI coherence states of an L1 line. */
 enum class MesiState : std::uint8_t { Invalid, Shared, Exclusive, Modified };
@@ -94,13 +78,6 @@ struct L2Config
 
     /** Collect the Figure 12/13 chunk statistics (costs time). */
     bool collect_chunk_stats = false;
-
-    /**
-     * Back DESC banks with full cycle-accurate links (LinkDescScheme)
-     * instead of the behavioral model. Results are identical, at the
-     * ticked link's cost. Non-DESC schemes ignore the flag.
-     */
-    bool link_backed = false;
 
     /**
      * The scheme configuration actually used on the wires: with ECC
@@ -297,25 +274,18 @@ class MemHierarchy
             DoneCb done{};
         };
         std::vector<Waiter> waiters;
+        Addr addr = 0; //!< block address of the miss
         bool exclusive_needed = false;
     };
 
     /** L1-miss probe done; forward the request to the L2. */
     struct AccessEvent final : sim::Event
     {
-        void process() override { mh->accessEvent(*this); }
-        MemHierarchy *mh = nullptr;
+        void process() override { owner->accessEvent(*this); }
+        MemHierarchy *owner = nullptr;
         Addr ba = 0;
         Cycle t0 = 0;
         MshrEntry::Waiter w{};
-    };
-
-    /** L2 tag probe confirmed a miss; issue the DRAM read. */
-    struct TagProbeEvent final : sim::Event
-    {
-        void process() override { mh->tagProbe(*this); }
-        MemHierarchy *mh = nullptr;
-        Addr addr = 0;
     };
 
     /**
@@ -325,20 +295,12 @@ class MemHierarchy
      */
     struct ResponseEvent final : sim::Event
     {
-        void process() override { mh->respond(*this); }
-        MemHierarchy *mh = nullptr;
+        void process() override { owner->respond(*this); }
+        MemHierarchy *owner = nullptr;
         Addr addr = 0;
         Cycle t0 = 0;
         bool sample_hit = false;
         std::vector<MshrEntry::Waiter> waiters;
-    };
-
-    /** Plain delayed completion (store-upgrade acknowledgement). */
-    struct DeliverEvent final : sim::Event
-    {
-        void process() override { mh->deliver(*this); }
-        MemHierarchy *mh = nullptr;
-        DoneCb cb{};
     };
 
     static constexpr std::uint32_t kNoMshr = ~std::uint32_t{0};
@@ -413,16 +375,28 @@ class MemHierarchy
      */
     Block512 &l2Slot(L2Array::Way way);
 
+    /** A continuation that runs member @p F of this hierarchy with
+     *  @p arg (an MSHR index). */
+    template <void (MemHierarchy::*F)(unsigned)>
+    DoneCb
+    continuation(unsigned arg)
+    {
+        return {[](void *mh, unsigned a) {
+                    (static_cast<MemHierarchy *>(mh)->*F)(a);
+                },
+                this, arg};
+    }
+
     void accessEvent(AccessEvent &ev);
-    void tagProbe(TagProbeEvent &ev);
     void respond(ResponseEvent &ev);
-    void deliver(DeliverEvent &ev);
-    AccessEvent &acquireAccess();
-    ResponseEvent &acquireResponse();
 
     void l2Request(Addr addr, Cycle t0, MshrEntry::Waiter w);
     void startMiss(Addr addr, Cycle t0, MshrEntry::Waiter w);
-    void finishMiss(Addr addr);
+    /** The L2 tag probe of MSHR @p mshr confirmed a miss: issue the
+     *  DRAM read. */
+    void tagProbe(unsigned mshr);
+    /** The DRAM read of MSHR @p mshr returned: fill and respond. */
+    void finishMiss(unsigned mshr);
 
     /** Flush/downgrade coherence copies; returns true if a recall
      *  transfer was needed (owner had a Modified copy). */
@@ -466,22 +440,17 @@ class MemHierarchy
     std::vector<std::uint64_t> _l2_cold;
 
     /**
-     * MSHRs as an index-stable pool plus a small active list. The
-     * handful of misses in flight make a linear scan cheaper than
-     * hashing, and recycled entries keep their waiters capacity.
+     * MSHRs as an index-stable pool plus a small active list. A
+     * miss's tag probe and DRAM read carry its index as their DoneCb
+     * arg. The handful of misses in flight make a linear scan cheaper
+     * than hashing, and recycled entries keep their waiters capacity.
      */
     std::vector<MshrEntry> _mshr_pool;
     std::vector<std::uint32_t> _mshr_free;
     std::vector<std::pair<Addr, std::uint32_t>> _mshr_active;
 
-    std::deque<AccessEvent> _access_events; //!< pinned storage
-    std::vector<AccessEvent *> _access_free;
-    std::deque<TagProbeEvent> _tag_events;
-    std::vector<TagProbeEvent *> _tag_free;
-    std::deque<ResponseEvent> _response_events;
-    std::vector<ResponseEvent *> _response_free;
-    std::deque<DeliverEvent> _deliver_events;
-    std::vector<DeliverEvent *> _deliver_free;
+    sim::EventPool<AccessEvent> _access_events{this};
+    sim::EventPool<ResponseEvent> _response_events{this};
 
     std::unique_ptr<ecc::BlockCodec> _codec;
     BitVec _scratch;     //!< reusable transfer word

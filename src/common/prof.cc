@@ -117,7 +117,7 @@ threadState()
         std::lock_guard<std::mutex> lock(r.mutex);
         s->index = unsigned(r.threads.size());
         const std::string &ctx = threadLogContext();
-        s->name = ctx.empty() ? "t" + std::to_string(s->index) : ctx;
+        s->name = ctx.empty() ? desc::detail::concat("t", s->index) : ctx;
         r.threads.push_back(s);
         return s;
     }();

@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "core/descscheme.hh"
-#include "core/linkscheme.hh"
 #include "encoding/binary.hh"
 #include "encoding/businvert.hh"
 #include "encoding/dzc.hh"
@@ -47,32 +46,6 @@ makeScheme(SchemeKind kind, const SchemeConfig &cfg)
         return std::make_unique<DescScheme>(desc_cfg(SkipMode::LastValue));
     }
     DESC_PANIC("bad scheme kind");
-}
-
-std::unique_ptr<TransferScheme>
-makeLinkBackedScheme(SchemeKind kind, const SchemeConfig &cfg)
-{
-    auto desc_cfg = [&](SkipMode skip) {
-        DescConfig c;
-        c.bus_wires = cfg.bus_wires;
-        c.chunk_bits = cfg.chunk_bits;
-        c.block_bits = cfg.block_bits;
-        c.skip = skip;
-        return c;
-    };
-
-    switch (kind) {
-      case SchemeKind::DescBasic:
-        return std::make_unique<LinkDescScheme>(desc_cfg(SkipMode::None));
-      case SchemeKind::DescZeroSkip:
-        return std::make_unique<LinkDescScheme>(desc_cfg(SkipMode::Zero));
-      case SchemeKind::DescLastValueSkip:
-        return std::make_unique<LinkDescScheme>(
-            desc_cfg(SkipMode::LastValue));
-      default:
-        // Baselines have no cycle-accurate link model.
-        return makeScheme(kind, cfg);
-    }
 }
 
 const SchemeKind *

@@ -92,7 +92,7 @@ class InOrderCore
     void onMemDone(unsigned tid);
 
     /** Completion callback waking thread @p tid. */
-    cache::DoneCb
+    sim::DoneCb
     memDoneCb(unsigned tid)
     {
         return {[](void *c, unsigned t) {

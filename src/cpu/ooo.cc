@@ -31,32 +31,19 @@ OooCore::scheduleDispatch(Cycle when)
     _eq.schedule(_dispatch_ev, when);
 }
 
-OooCore::ExecEvent &
-OooCore::acquireExec()
-{
-    if (_exec_free.empty()) {
-        _exec_events.emplace_back();
-        _exec_events.back().core = this;
-        return _exec_events.back();
-    }
-    ExecEvent *ev = _exec_free.back();
-    _exec_free.pop_back();
-    return *ev;
-}
-
 void
 OooCore::execEvent(ExecEvent &ev)
 {
     DESC_PROF_SCOPE(CpuOoo);
     const MemOp op = ev.op;
     const std::uint64_t inst_no = ev.inst_no;
-    _exec_free.push_back(&ev);
+    _exec_events.release(ev);
 
     if (op.is_write) {
         // Stores drain through the store buffer off the critical
         // path (traffic still charged).
         _mem.access(_core_id, op.addr, true, op.store_value, false,
-                    cache::DoneCb{});
+                    sim::DoneCb{});
         scheduleDispatch(_eq.now());
         return;
     }
@@ -147,7 +134,7 @@ OooCore::dispatch()
         return;
     }
 
-    ExecEvent &ev = acquireExec();
+    ExecEvent &ev = _exec_events.acquire();
     ev.op = op;
     ev.inst_no = _retired;
     _eq.schedule(ev, end);

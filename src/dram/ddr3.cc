@@ -64,7 +64,7 @@ DramSystem::rowHitLatency() const
 }
 
 void
-DramSystem::access(Addr addr, bool is_write, DoneFn done)
+DramSystem::access(Addr addr, bool is_write, sim::DoneCb done)
 {
     DESC_PROF_SCOPE(Dram);
     unsigned ch = channelOf(addr);
@@ -72,7 +72,7 @@ DramSystem::access(Addr addr, bool is_write, DoneFn done)
     if (bank.open_row == rowOf(addr))
         bank.queued_hits++;
     _channels[ch].queue.push_back(
-        Request{addr, is_write, _eq.now(), std::move(done)});
+        Request{addr, is_write, _eq.now(), done});
     trySchedule(ch);
 }
 
@@ -111,7 +111,7 @@ DramSystem::trySchedule(unsigned ch_idx)
                     "hit the queue scan did not find");
     }
 
-    Request req = std::move(ch.queue[pick]);
+    Request req = ch.queue[pick];
     ch.queue.erase(ch.queue.begin() + pick);
 
     const unsigned bank_idx = bankOf(req.addr);
@@ -164,27 +164,14 @@ DramSystem::trySchedule(unsigned ch_idx)
                      std::hex, req.addr, std::dec, ", complete @",
                      complete);
 
-    CompletionEvent &ev = acquireCompletion();
+    CompletionEvent &ev = _completions.acquire();
     ev.ch = ch_idx;
     ev.issued = req.issued;
-    ev.done = std::move(req.done);
+    ev.done = req.done;
     _eq.schedule(ev, complete);
 
     // Keep dispatching while overlap slots remain.
     trySchedule(ch_idx);
-}
-
-DramSystem::CompletionEvent &
-DramSystem::acquireCompletion()
-{
-    if (_completion_free.empty()) {
-        _completions.emplace_back();
-        _completions.back().sys = this;
-        return _completions.back();
-    }
-    CompletionEvent *ev = _completion_free.back();
-    _completion_free.pop_back();
-    return *ev;
 }
 
 void
@@ -198,9 +185,8 @@ DramSystem::complete(CompletionEvent &ev)
                 "completion on idle channel ", ch_idx);
     _stats.latency.sample(double(_eq.now() - ev.issued));
     _channels[ch_idx].in_flight--;
-    DoneFn done = std::move(ev.done);
-    ev.done = nullptr;
-    _completion_free.push_back(&ev);
+    const sim::DoneCb done = ev.done;
+    _completions.release(ev);
     if (done)
         done();
     trySchedule(ch_idx);

@@ -13,7 +13,6 @@
 #define DESC_DRAM_DDR3_HH
 
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "common/stats.hh"
@@ -53,12 +52,13 @@ struct DramStats
 class DramSystem
 {
   public:
-    using DoneFn = std::function<void()>;
-
     DramSystem(sim::EventQueue &eq, const DramConfig &cfg = DramConfig{});
 
-    /** Issue a block access; @p done runs at the completion cycle. */
-    void access(Addr addr, bool is_write, DoneFn done);
+    /**
+     * Issue a block access; @p done (if set) runs at the completion
+     * cycle, with the arg it was given.
+     */
+    void access(Addr addr, bool is_write, sim::DoneCb done);
 
     const DramStats &stats() const { return _stats; }
 
@@ -71,21 +71,20 @@ class DramSystem
         Addr addr;
         bool is_write;
         Cycle issued;
-        DoneFn done;
+        sim::DoneCb done;
     };
 
     /**
      * Completion of an in-flight request; up to channels *
-     * max_overlap can be pending, drawn from a free list whose
-     * storage is pinned in a deque.
+     * max_overlap can be pending, drawn from _completions.
      */
     struct CompletionEvent final : sim::Event
     {
-        void process() override { sys->complete(*this); }
-        DramSystem *sys = nullptr;
+        void process() override { owner->complete(*this); }
+        DramSystem *owner = nullptr;
         unsigned ch = 0;
         Cycle issued = 0;
-        DoneFn done;
+        sim::DoneCb done{};
     };
 
     struct Bank
@@ -116,15 +115,13 @@ class DramSystem
     Cycle toCore(unsigned mem_cycles) const;
     void trySchedule(unsigned ch);
     void complete(CompletionEvent &ev);
-    CompletionEvent &acquireCompletion();
 
     sim::EventQueue &_eq;
     DramConfig _cfg;
     std::vector<Channel> _channels;
     DramStats _stats;
 
-    std::deque<CompletionEvent> _completions; //!< pinned storage
-    std::vector<CompletionEvent *> _completion_free;
+    sim::EventPool<CompletionEvent> _completions{this};
 };
 
 } // namespace desc::dram

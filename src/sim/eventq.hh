@@ -24,13 +24,18 @@
  * migrate in (when, seq) order before any of that cycle's direct
  * same-cycle appends can occur.
  *
- * One-shot callbacks are still supported for convenience (tests,
- * cold paths): schedule(when, cb) wraps the callback in a pooled
- * event drawn from a free list, so repeated one-shot scheduling
- * allocates pool slabs only while the high-water mark grows. The
- * pool instruments its slab allocations (poolAllocations()) and the
- * heap its capacity (recordCapacity()) so tests can assert that a
- * steady-state workload performs zero heap allocations in the
+ * Deferred work takes one of two forms. A component that schedules
+ * the same kind of work repeatedly derives an Event; anything else is
+ * a DoneCb continuation (a function pointer, a context pointer and a
+ * small integer), which schedule(when, cb) wraps in a pooled one-shot
+ * event. Components hand each other DoneCbs too (the cores to the
+ * cache, the cache to DRAM), so no simulated path carries a
+ * type-erased callback. Events a component keeps several of in flight
+ * come from an EventPool: pinned deque storage with a LIFO free list,
+ * so scheduling allocates only while a pool grows to its high-water
+ * mark. The queue instruments its one-shot pool (poolAllocations())
+ * and its record storage (recordCapacity()) so tests can assert that
+ * a steady-state workload performs zero heap allocations in the
  * scheduling path.
  */
 
@@ -38,9 +43,9 @@
 #define DESC_SIM_EVENTQ_HH
 
 #include <array>
-#include <functional>
-#include <memory>
+#include <deque>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "common/contract.hh"
@@ -50,6 +55,30 @@
 namespace desc::sim {
 
 class EventQueue;
+
+/**
+ * The kernel's continuation type: a plain function pointer plus a
+ * context pointer and a small integer argument. Every continuation a
+ * component hands to another or to the queue is one of these: core
+ * models key theirs on (object, thread id), the hierarchy on (itself,
+ * MSHR index). It is trivially copyable, so storing one in a queued
+ * request or a pooled event never allocates, which a type-erased
+ * closure with captures may. An empty DoneCb (fn == nullptr) means
+ * "nothing to run".
+ */
+struct DoneCb
+{
+    using Fn = void (*)(void *ctx, unsigned arg);
+
+    Fn fn = nullptr;
+    void *ctx = nullptr;
+    unsigned arg = 0;
+
+    explicit operator bool() const { return fn != nullptr; }
+    void operator()() const { fn(ctx, arg); }
+};
+static_assert(std::is_trivially_copyable_v<DoneCb>,
+              "a continuation must be storable without allocating");
 
 /**
  * Base class of all scheduled work. Components derive from Event,
@@ -88,11 +117,58 @@ class Event
     std::uint64_t _live_seq = kIdle;
 };
 
+/**
+ * Pinned, free-listed storage for events a component keeps a varying
+ * number of in flight. Storage is a deque, so an acquired event never
+ * moves while the pool grows; released events are reused LIFO. E must
+ * carry a pointer member `owner`, which acquire() sets once, when it
+ * constructs an event. A reused event is handed back as it was
+ * released, so members like a waiter vector keep their capacity.
+ */
+template <class E>
+class EventPool
+{
+  public:
+    using Owner = decltype(E::owner);
+
+    explicit EventPool(Owner owner) : _owner(owner) {}
+
+    E &
+    acquire()
+    {
+        if (_free.empty()) {
+            E &ev = _store.emplace_back();
+            ev.owner = _owner;
+            return ev;
+        }
+        E *ev = _free.back();
+        _free.pop_back();
+        return *ev;
+    }
+
+    void
+    release(E &ev)
+    {
+        _free.push_back(&ev);
+        // High-water contract: every free entry was acquired from this
+        // pool, so the free list can never outgrow the storage.
+        DESC_DCHECK(_free.size() <= _store.size(), "event pool free list (",
+                    _free.size(), ") exceeds pool size (", _store.size(),
+                    ")");
+    }
+
+    /** Events constructed so far: the pool's high-water mark. */
+    std::size_t size() const { return _store.size(); }
+
+  private:
+    Owner _owner;
+    std::deque<E> _store;
+    std::vector<E *> _free;
+};
+
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     /** Schedule @p ev at absolute cycle @p when (>= now()). */
     void
     schedule(Event &ev, Cycle when)
@@ -142,21 +218,21 @@ class EventQueue
         schedule(ev, when);
     }
 
-    /** Schedule one-shot @p cb at absolute cycle @p when (pooled). */
+    /**
+     * Schedule one-shot @p cb at absolute cycle @p when, in a pooled
+     * event. An empty @p cb still occupies its cycle and sequence
+     * number; it just runs nothing.
+     */
     void
-    schedule(Cycle when, Callback cb)
+    schedule(Cycle when, DoneCb cb)
     {
-        CallbackEvent *ev = acquire();
-        ev->cb = std::move(cb);
-        schedule(*ev, when);
+        OneShot &ev = _one_shots.acquire();
+        ev.cb = cb;
+        schedule(ev, when);
     }
 
     /** Schedule one-shot @p cb @p delta cycles from now. */
-    void
-    scheduleIn(Cycle delta, Callback cb)
-    {
-        schedule(_now + delta, std::move(cb));
-    }
+    void scheduleIn(Cycle delta, DoneCb cb) { schedule(_now + delta, cb); }
 
     Cycle now() const { return _now; }
     bool empty() const { return _live == 0; }
@@ -242,11 +318,11 @@ class EventQueue
     }
 
     /**
-     * One-shot pool slabs allocated so far. Stays flat once the pool
+     * One-shot events allocated so far. Stays flat once the pool
      * reaches its high-water mark — the allocation-free steady-state
      * invariant the kernel tests assert.
      */
-    std::uint64_t poolAllocations() const { return _pool_allocs; }
+    std::uint64_t poolAllocations() const { return _one_shots.size(); }
 
     /**
      * Total record capacity across the far heap's backing vector and
@@ -288,47 +364,21 @@ class EventQueue
         }
     };
 
-    /** Pooled wrapper that runs a one-shot callback and frees itself. */
-    struct CallbackEvent final : Event
+    /** Pooled one-shot: frees itself, then runs its continuation. */
+    struct OneShot final : Event
     {
-        explicit CallbackEvent(EventQueue *q_) : q(q_) {}
-
         void
         process() override
         {
-            Callback fn = std::move(cb);
-            cb = nullptr;
-            q->release(this);
-            fn();
+            const DoneCb run = cb;
+            owner->_one_shots.release(*this);
+            if (run)
+                run();
         }
 
-        EventQueue *q;
-        Callback cb;
+        EventQueue *owner = nullptr;
+        DoneCb cb{};
     };
-
-    CallbackEvent *
-    acquire()
-    {
-        if (_pool_free.empty()) {
-            _pool.push_back(std::make_unique<CallbackEvent>(this));
-            _pool_allocs++;
-            return _pool.back().get();
-        }
-        CallbackEvent *ev = _pool_free.back();
-        _pool_free.pop_back();
-        return ev;
-    }
-
-    void
-    release(CallbackEvent *ev)
-    {
-        _pool_free.push_back(ev);
-        // Pool high-water contract: every free entry must come from a
-        // pooled slab, so the free list can never outgrow the pool.
-        DESC_DCHECK(_pool_free.size() <= _pool.size(),
-                    "callback pool free list (", _pool_free.size(),
-                    ") exceeds pool size (", _pool.size(), ")");
-    }
 
     /** Min-heap on (when, seq); _store is the reused backing vector. */
     class Heap : public std::priority_queue<Rec, std::vector<Rec>,
@@ -346,9 +396,7 @@ class EventQueue
     std::uint64_t _next_seq = 0;
     std::size_t _live = 0;
 
-    std::vector<std::unique_ptr<CallbackEvent>> _pool;
-    std::vector<CallbackEvent *> _pool_free;
-    std::uint64_t _pool_allocs = 0;
+    EventPool<OneShot> _one_shots{this};
 };
 
 } // namespace desc::sim

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/hierarchy.hh"
 
@@ -174,6 +175,96 @@ TEST(Hierarchy, MshrMergesConcurrentMisses)
     EXPECT_EQ(f.mem->stats().l2_fills.value(), 1u);
 }
 
+TEST(Hierarchy, OutOfOrderDramCompletionsFinishTheirOwnMisses)
+{
+    // Six misses in flight at once on DRAM channel 0. The first four
+    // fill the channel's overlap window; then a4 (row miss in bank 0)
+    // and a5 (hit on the row a0 opens in bank 0) queue, and FR-FCFS
+    // serves a5 before a4. Core 1 merges into the a4 and a5 MSHRs.
+    const Addr addrs[] = {0x0000, 0x0080, 0x0100, 0x0180, 0x50000, 0x0400};
+    constexpr unsigned kBlocks = 6;
+
+    // Reference: the DRAM model alone, fed the same reads in the same
+    // order in one cycle, gives each block's relative completion time.
+    sim::EventQueue ref_eq;
+    dram::DramSystem ref_dram(ref_eq);
+    Cycle ref_done[kBlocks] = {};
+    struct RefCtx
+    {
+        sim::EventQueue *eq;
+        Cycle *done;
+    } ref_ctx{&ref_eq, ref_done};
+    for (unsigned b = 0; b < kBlocks; b++) {
+        ref_dram.access(addrs[b], false,
+                        {[](void *c, unsigned i) {
+                             auto *x = static_cast<RefCtx *>(c);
+                             x->done[i] = x->eq->now();
+                         },
+                         &ref_ctx, b});
+    }
+    ref_eq.run();
+    ASSERT_LT(ref_done[5], ref_done[4])
+        << "the workload must make DRAM complete out of issue order";
+
+    Fixture f(L2Config{}, 3);
+    struct Waiter
+    {
+        unsigned core;
+        unsigned block;
+        Cycle done = 0;
+        bool own_line_in_l1 = false;
+    };
+    std::vector<Waiter> waiters;
+    for (unsigned b = 0; b < kBlocks; b++)
+        waiters.push_back({0, b});
+    waiters.push_back({1, 4});
+    waiters.push_back({1, 5});
+    struct Ctx
+    {
+        Fixture *f;
+        std::vector<Waiter> *waiters;
+        const Addr *addrs;
+    } ctx{&f, &waiters, addrs};
+    const DoneCb::Fn on_done = [](void *c, unsigned i) {
+        auto *x = static_cast<Ctx *>(c);
+        Waiter &w = (*x->waiters)[i];
+        w.done = x->f->eq.now();
+        // The completing waiter's own block must be in its L1 now: a
+        // re-read is a synchronous L1 hit.
+        w.own_line_in_l1 = x->f->mem
+                               ->access(w.core, x->addrs[w.block], false,
+                                        0, false, DoneCb{})
+                               .has_value();
+    };
+    for (unsigned i = 0; i < waiters.size(); i++) {
+        auto lat = f.mem->access(waiters[i].core, addrs[waiters[i].block],
+                                 false, 0, false, {on_done, &ctx, i});
+        ASSERT_FALSE(lat.has_value());
+    }
+    f.eq.run();
+    EXPECT_EQ(f.mem->stats().l2_misses.value(), kBlocks);
+
+    // Every waiter completes, on its own block, a fixed response delay
+    // after the DRAM read of that block: the same offset for all.
+    const Cycle offset = waiters[0].done - ref_done[0];
+    for (const Waiter &w : waiters) {
+        EXPECT_GT(w.done, 0u) << "block " << w.block;
+        EXPECT_TRUE(w.own_line_in_l1) << "block " << w.block;
+        EXPECT_EQ(w.done - ref_done[w.block], offset)
+            << "core " << w.core << " block " << w.block;
+    }
+
+    // No MSHR leaked: a third core's reads of the same blocks are
+    // fresh L2 hits that complete, not merges into a dead entry.
+    unsigned late = 0;
+    for (unsigned b = 0; b < kBlocks; b++)
+        f.mem->access(2, addrs[b], false, 0, false, countDone(&late));
+    f.eq.run();
+    EXPECT_EQ(late, kBlocks);
+    EXPECT_EQ(f.mem->stats().l2_misses.value(), kBlocks);
+    EXPECT_EQ(f.mem->stats().l2_hits.value(), kBlocks);
+}
+
 TEST(Hierarchy, DirtyEvictionWritesBack)
 {
     L2Config cfg;
@@ -249,69 +340,6 @@ TEST(Hierarchy, EccHierarchyRunsEndToEnd)
     Cycle hit = f.read(1, 0x8000);
     EXPECT_GT(hit, 0u);
     EXPECT_GT(f.mem->stats().data_flips, 0.0);
-}
-
-TEST(Hierarchy, LinkBackedDescMatchesBehavioralModel)
-{
-    // L2Config::link_backed swaps the behavioral DescScheme for full
-    // cycle-accurate links. Run the same access pattern
-    // through both backings: every reported statistic must agree.
-    L2Config base;
-    base.scheme = encoding::SchemeKind::DescZeroSkip;
-    base.scheme_cfg.bus_wires = 128;
-    base.org.bus_wires = 128;
-
-    L2Config linked = base;
-    linked.link_backed = true;
-
-    Fixture fb(base);
-    Fixture fl(linked);
-    auto touch = [](Fixture &f) {
-        for (unsigned i = 0; i < 24; i++) {
-            f.read(i % 2, 0x4000 + Addr(i % 6) * 64);
-            f.write(i % 2, 0x9000 + Addr(i % 4) * 64, 0x1234 + i);
-        }
-    };
-    touch(fb);
-    touch(fl);
-
-    const auto &sb = fb.mem->stats();
-    const auto &sl = fl.mem->stats();
-    EXPECT_EQ(sb.read_transfers.value(), sl.read_transfers.value());
-    EXPECT_EQ(sb.write_transfers.value(), sl.write_transfers.value());
-    EXPECT_EQ(sb.l2_hits.value(), sl.l2_hits.value());
-    EXPECT_EQ(sb.l2_misses.value(), sl.l2_misses.value());
-    EXPECT_DOUBLE_EQ(sb.data_flips, sl.data_flips);
-    EXPECT_DOUBLE_EQ(sb.ctrl_flips, sl.ctrl_flips);
-    EXPECT_EQ(fb.eq.now(), fl.eq.now());
-}
-
-TEST(Hierarchy, LinkBackedEccHierarchyMatchesBehavioralModel)
-{
-    // With ECC the link carries codec-widened bus words (137 wires,
-    // 548 bits); the link backing must stay transparent there too.
-    L2Config base;
-    base.scheme = encoding::SchemeKind::DescLastValueSkip;
-    base.scheme_cfg.bus_wires = 128;
-    base.org.bus_wires = 128;
-    base.ecc = true;
-    base.ecc_segment_bits = 128;
-
-    L2Config linked = base;
-    linked.link_backed = true;
-
-    Fixture fb(base);
-    Fixture fl(linked);
-    auto touch = [](Fixture &f) {
-        for (unsigned i = 0; i < 16; i++)
-            f.read(i % 2, 0x2000 + Addr(i % 5) * 64);
-    };
-    touch(fb);
-    touch(fl);
-
-    EXPECT_DOUBLE_EQ(fb.mem->stats().data_flips, fl.mem->stats().data_flips);
-    EXPECT_DOUBLE_EQ(fb.mem->stats().ctrl_flips, fl.mem->stats().ctrl_flips);
-    EXPECT_EQ(fb.eq.now(), fl.eq.now());
 }
 
 TEST(Hierarchy, SnucaBankLatencyGrowsWithDistance)

@@ -181,7 +181,9 @@ TEST(TraceConcurrency, MaskFlipsWhileWorkersEmit)
     std::vector<std::thread> workers;
     for (int w = 0; w < 4; w++) {
         workers.emplace_back([&stop, w] {
-            setThreadLogContext("w" + std::to_string(w));
+            std::string name = "w";
+            name += std::to_string(w);
+            setThreadLogContext(name);
             std::uint64_t cycle = 0;
             while (!stop.load(std::memory_order_relaxed)) {
                 DESC_TRACE_EVENT(Link, cycle, "beat ", cycle);

@@ -251,8 +251,8 @@ paramName(const ::testing::TestParamInfo<Param> &info)
     unsigned wires = std::get<0>(info.param);
     unsigned bits = std::get<1>(info.param);
     SkipMode skip = std::get<2>(info.param);
-    std::string name = "w" + std::to_string(wires) + "_c"
-        + std::to_string(bits) + "_";
+    std::string name = "w";
+    name += std::to_string(wires) + "_c" + std::to_string(bits) + "_";
     switch (skip) {
       case SkipMode::None:
         name += "basic";
@@ -463,9 +463,10 @@ TEST(LinkFastPathEcc, EccLayoutsMatchTicked)
 /*
  * Per-cycle observers — the wire hook (VCD export), the fault hook
  * and the link trace channel — exist only on the ticked loop, which
- * the cache hierarchy drives through L2Config::link_backed. Each
- * observer must see every cycle and leave the statistics exactly as
- * the behavioral fast path computes them.
+ * the VCD and fault-injection tools drive; the cache hierarchy always
+ * runs the behavioral DescScheme. Each observer must see every cycle
+ * and leave the statistics exactly as the behavioral fast path
+ * computes them.
  */
 
 TEST(LinkFastPathSelect, WireHookForcesTickedLoop)

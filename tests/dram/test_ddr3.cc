@@ -3,12 +3,14 @@
  * Unit tests for the DDR3 FR-FCFS channel model.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../sim/thunks.hh"
 #include "dram/ddr3.hh"
 
 using namespace desc;
@@ -20,6 +22,7 @@ struct Fixture
 {
     sim::EventQueue eq;
     DramSystem dram{eq};
+    test::Thunks fn;
 };
 
 } // namespace
@@ -28,7 +31,8 @@ TEST(Ddr3, SingleAccessCompletes)
 {
     Fixture f;
     Cycle done_at = 0;
-    f.dram.access(0x1000, false, [&]() { done_at = f.eq.now(); });
+    f.dram.access(0x1000, false,
+                  f.fn([&]() { done_at = f.eq.now(); }));
     f.eq.run();
     EXPECT_GT(done_at, 0u);
     EXPECT_EQ(f.dram.stats().reads.value(), 1u);
@@ -40,15 +44,16 @@ TEST(Ddr3, RowHitIsFasterThanRowMiss)
     Fixture f;
     Cycle first = 0, second = 0, third = 0;
     // Same row twice, then a different row in the same bank.
-    f.dram.access(0x0000, false, [&]() { first = f.eq.now(); });
+    f.dram.access(0x0000, false, f.fn([&]() { first = f.eq.now(); }));
     f.eq.run();
     Cycle t1 = f.eq.now();
     f.dram.access(0x400, false,
-                  [&]() { second = f.eq.now(); }); // bank 0, row 0
+                  f.fn([&]() { second = f.eq.now(); })); // bank 0, row 0
     f.eq.run();
     Cycle hit_latency = second - t1;
     Cycle t2 = f.eq.now();
-    f.dram.access(Addr{1} << 20, false, [&]() { third = f.eq.now(); });
+    f.dram.access(Addr{1} << 20, false,
+                  f.fn([&]() { third = f.eq.now(); }));
     f.eq.run();
     Cycle miss_latency = third - t2;
     (void)first;
@@ -62,18 +67,18 @@ TEST(Ddr3, FrFcfsPrefersRowHits)
     // bank B; with FR-FCFS the hit is served first.
     Fixture f;
     // Open a row first.
-    f.dram.access(0x0000, false, nullptr);
+    f.dram.access(0x0000, false, sim::DoneCb{});
     f.eq.run();
 
     std::vector<int> order;
     // Saturate channel 0's overlap (bank 1) so both requests queue.
     DramConfig cfg;
     for (unsigned i = 0; i < cfg.max_overlap; i++)
-        f.dram.access((Addr{3} << 20) + 0x80, false, nullptr);
+        f.dram.access((Addr{3} << 20) + 0x80, false, sim::DoneCb{});
     f.dram.access(Addr{5} << 16, false,
-                  [&]() { order.push_back(1); }); // bank 0, row miss
+                  f.fn([&]() { order.push_back(1); })); // bank 0, row miss
     f.dram.access(0x400, false,
-                  [&]() { order.push_back(2); }); // bank 0, row 0 hit
+                  f.fn([&]() { order.push_back(2); })); // bank 0, row 0 hit
     f.eq.run();
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], 2);
@@ -91,17 +96,18 @@ TEST(Ddr3, ChannelsInterleaveByBlock)
         if (++done == 2)
             both = f.eq.now();
     };
-    f.dram.access(0 << 6, false, cb);
-    f.dram.access(1 << 6, false, cb);
+    f.dram.access(0 << 6, false, f.fn(cb));
+    f.dram.access(1 << 6, false, f.fn(cb));
     f.eq.run();
     Cycle parallel_time = both;
 
     Fixture g;
     Cycle serial_end = 0;
-    g.dram.access(0 << 6, false, nullptr);
+    g.dram.access(0 << 6, false, sim::DoneCb{});
     g.eq.run();
     Cycle one = g.eq.now();
-    g.dram.access(2 << 6, false, [&]() { serial_end = g.eq.now(); });
+    g.dram.access(2 << 6, false,
+                  g.fn([&]() { serial_end = g.eq.now(); }));
     g.eq.run();
     EXPECT_LT(parallel_time, one + (serial_end - one));
 }
@@ -110,7 +116,7 @@ TEST(Ddr3, LatencySamplesAreRecorded)
 {
     Fixture f;
     for (int i = 0; i < 10; i++)
-        f.dram.access(Addr(i) << 16, false, nullptr);
+        f.dram.access(Addr(i) << 16, false, sim::DoneCb{});
     f.eq.run();
     EXPECT_EQ(f.dram.stats().latency.count(), 10u);
     EXPECT_GT(f.dram.stats().latency.mean(), 0.0);
@@ -119,7 +125,7 @@ TEST(Ddr3, LatencySamplesAreRecorded)
 TEST(Ddr3, WritesCounted)
 {
     Fixture f;
-    f.dram.access(0x40, true, nullptr);
+    f.dram.access(0x40, true, sim::DoneCb{});
     f.eq.run();
     EXPECT_EQ(f.dram.stats().writes.value(), 1u);
     EXPECT_EQ(f.dram.stats().reads.value(), 0u);
@@ -167,7 +173,7 @@ TEST(Ddr3, SchedulingOrderMatchesGolden)
     bool second_phase = false;
     for (unsigned i = 0; i < 120; i++) {
         unsigned r = next();
-        f.dram.access(addr_of(r), (r & 1) != 0, [&, i] {
+        f.dram.access(addr_of(r), (r & 1) != 0, f.fn([&, i] {
             order.push_back(i);
             // Mid-run burst: later requests arrive while earlier ones
             // drain, so enqueue and issue interleave.
@@ -175,12 +181,11 @@ TEST(Ddr3, SchedulingOrderMatchesGolden)
                 second_phase = true;
                 for (unsigned j = 0; j < 80; j++) {
                     unsigned r2 = next();
-                    f.dram.access(addr_of(r2), (r2 & 1) != 0, [&, j] {
-                        order.push_back(120 + j);
-                    });
+                    f.dram.access(addr_of(r2), (r2 & 1) != 0,
+                                  f.fn([&, j] { order.push_back(120 + j); }));
                 }
             }
-        });
+        }));
     }
     f.eq.run();
 
@@ -188,6 +193,46 @@ TEST(Ddr3, SchedulingOrderMatchesGolden)
     for (std::size_t i = 0; i < order.size(); i++)
         ASSERT_EQ(order[i], kGolden[i]) << "divergence at completion " << i;
     EXPECT_EQ(f.eq.now(), kGoldenFinalCycle);
+}
+
+TEST(Ddr3, DoneCbArgSurvivesFrFcfsReordering)
+{
+    // The same pseudo-random workload twice: once with a lambda per
+    // request that captures its id, once with one plain DoneCb whose
+    // arg is the id. FR-FCFS serves the requests out of issue order;
+    // the arg must still name the request that completed.
+    auto addr_of = [](unsigned r) {
+        return (Addr(r % 5) << 16) | (Addr((r / 5) % 8) << 7)
+            | (Addr((r / 40) % 2) << 6);
+    };
+    auto workload = [&](Fixture &f, auto &&done_for) {
+        std::uint64_t lcg = 99;
+        for (unsigned i = 0; i < 96; i++) {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            f.dram.access(addr_of(unsigned(lcg >> 33)), false, done_for(i));
+        }
+        f.eq.run();
+    };
+
+    Fixture by_lambda;
+    std::vector<unsigned> expect;
+    workload(by_lambda, [&](unsigned i) {
+        return by_lambda.fn([&expect, i] { expect.push_back(i); });
+    });
+
+    Fixture by_arg;
+    std::vector<unsigned> got;
+    const sim::DoneCb::Fn record = [](void *v, unsigned id) {
+        static_cast<std::vector<unsigned> *>(v)->push_back(id);
+    };
+    workload(by_arg,
+             [&](unsigned i) { return sim::DoneCb{record, &got, i}; });
+
+    ASSERT_EQ(expect.size(), 96u);
+    EXPECT_FALSE(std::is_sorted(expect.begin(), expect.end()))
+        << "the workload must exercise FR-FCFS reordering";
+    EXPECT_EQ(got, expect);
+    EXPECT_EQ(by_arg.eq.now(), by_lambda.eq.now());
 }
 
 TEST(Ddr3, RowHitLatencyMatchesTimingParameters)

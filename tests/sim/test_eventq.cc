@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hh"
 #include "sim/eventq.hh"
+#include "thunks.hh"
 
 using namespace desc;
 using namespace desc::sim;
@@ -36,10 +38,11 @@ struct LogEvent final : Event
 TEST(EventQueue, RunsInTimeOrder)
 {
     EventQueue eq;
+    test::Thunks fn;
     std::vector<int> order;
-    eq.schedule(30, [&]() { order.push_back(3); });
-    eq.schedule(10, [&]() { order.push_back(1); });
-    eq.schedule(20, [&]() { order.push_back(2); });
+    eq.schedule(30, fn([&]() { order.push_back(3); }));
+    eq.schedule(10, fn([&]() { order.push_back(1); }));
+    eq.schedule(20, fn([&]() { order.push_back(2); }));
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -48,9 +51,10 @@ TEST(EventQueue, RunsInTimeOrder)
 TEST(EventQueue, SameCycleIsFifo)
 {
     EventQueue eq;
+    test::Thunks fn;
     std::vector<int> order;
     for (int i = 0; i < 5; i++)
-        eq.schedule(7, [&, i]() { order.push_back(i); });
+        eq.schedule(7, fn([&, i]() { order.push_back(i); }));
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -58,13 +62,14 @@ TEST(EventQueue, SameCycleIsFifo)
 TEST(EventQueue, EventsMayScheduleMoreEvents)
 {
     EventQueue eq;
+    test::Thunks fn;
     int fired = 0;
     std::function<void()> chain = [&]() {
         fired++;
         if (fired < 10)
-            eq.scheduleIn(5, chain);
+            eq.scheduleIn(5, fn(chain));
     };
-    eq.schedule(0, chain);
+    eq.schedule(0, fn(chain));
     eq.run();
     EXPECT_EQ(fired, 10);
     EXPECT_EQ(eq.now(), 45u);
@@ -73,8 +78,11 @@ TEST(EventQueue, EventsMayScheduleMoreEvents)
 TEST(EventQueue, SameCycleSelfScheduleRuns)
 {
     EventQueue eq;
+    test::Thunks fn;
     bool inner = false;
-    eq.schedule(5, [&]() { eq.schedule(5, [&]() { inner = true; }); });
+    eq.schedule(5, fn([&]() {
+        eq.schedule(5, fn([&]() { inner = true; }));
+    }));
     eq.run();
     EXPECT_TRUE(inner);
 }
@@ -82,9 +90,10 @@ TEST(EventQueue, SameCycleSelfScheduleRuns)
 TEST(EventQueue, RunLimitStopsEarly)
 {
     EventQueue eq;
+    test::Thunks fn;
     int fired = 0;
-    eq.schedule(10, [&]() { fired++; });
-    eq.schedule(100, [&]() { fired++; });
+    eq.schedule(10, fn([&]() { fired++; }));
+    eq.schedule(100, fn([&]() { fired++; }));
     eq.run(50);
     EXPECT_EQ(fired, 1);
     EXPECT_FALSE(eq.empty());
@@ -95,8 +104,9 @@ TEST(EventQueue, RunLimitStopsEarly)
 TEST(EventQueue, ReturnsExecutedCount)
 {
     EventQueue eq;
+    test::Thunks fn;
     for (int i = 0; i < 7; i++)
-        eq.schedule(Cycle(i), []() {});
+        eq.schedule(Cycle(i), fn([]() {}));
     EXPECT_EQ(eq.run(), 7u);
 }
 
@@ -107,16 +117,17 @@ TEST(EventQueue, ReturnsExecutedCount)
 TEST(EventQueue, CallbackAtCurrentCycleRunsAfterOlderSameCycleEvents)
 {
     EventQueue eq;
+    test::Thunks fn;
     std::vector<int> order;
     // The first cycle-5 event schedules another cycle-5 event; FIFO
     // order puts it after the pre-existing cycle-5 events but before
     // anything later.
-    eq.schedule(5, [&]() {
+    eq.schedule(5, fn([&]() {
         order.push_back(0);
-        eq.schedule(5, [&]() { order.push_back(2); });
-    });
-    eq.schedule(5, [&]() { order.push_back(1); });
-    eq.schedule(6, [&]() { order.push_back(3); });
+        eq.schedule(5, fn([&]() { order.push_back(2); }));
+    }));
+    eq.schedule(5, fn([&]() { order.push_back(1); }));
+    eq.schedule(6, fn([&]() { order.push_back(3); }));
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
@@ -124,10 +135,11 @@ TEST(EventQueue, CallbackAtCurrentCycleRunsAfterOlderSameCycleEvents)
 TEST(EventQueue, SelfScheduleAtCurrentCycleKeepsNow)
 {
     EventQueue eq;
+    test::Thunks fn;
     Cycle seen = ~Cycle{0};
-    eq.schedule(9, [&]() {
-        eq.scheduleIn(0, [&]() { seen = eq.now(); });
-    });
+    eq.schedule(9, fn([&]() {
+        eq.scheduleIn(0, fn([&]() { seen = eq.now(); }));
+    }));
     eq.run();
     EXPECT_EQ(seen, 9u);
     EXPECT_EQ(eq.now(), 9u);
@@ -136,9 +148,10 @@ TEST(EventQueue, SelfScheduleAtCurrentCycleKeepsNow)
 TEST(EventQueue, RunLimitIsInclusive)
 {
     EventQueue eq;
+    test::Thunks fn;
     int fired = 0;
-    eq.schedule(50, [&]() { fired++; });
-    eq.schedule(51, [&]() { fired++; });
+    eq.schedule(50, fn([&]() { fired++; }));
+    eq.schedule(51, fn([&]() { fired++; }));
     EXPECT_EQ(eq.run(50), 1u);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(eq.now(), 50u);
@@ -148,8 +161,9 @@ TEST(EventQueue, RunLimitIsInclusive)
 TEST(EventQueue, NowDoesNotAdvancePastLimit)
 {
     EventQueue eq;
-    eq.schedule(10, []() {});
-    eq.schedule(100, []() {});
+    test::Thunks fn;
+    eq.schedule(10, fn([]() {}));
+    eq.schedule(100, fn([]() {}));
     eq.run(40);
     // Time stands at the last executed event, not at the limit or
     // the next pending event.
@@ -161,12 +175,13 @@ TEST(EventQueue, NowDoesNotAdvancePastLimit)
 TEST(EventQueue, EventsAtLimitMaySpawnSameCycleWork)
 {
     EventQueue eq;
+    test::Thunks fn;
     std::vector<int> order;
-    eq.schedule(20, [&]() {
+    eq.schedule(20, fn([&]() {
         order.push_back(0);
-        eq.schedule(20, [&]() { order.push_back(1); });
-        eq.schedule(21, [&]() { order.push_back(2); });
-    });
+        eq.schedule(20, fn([&]() { order.push_back(1); }));
+        eq.schedule(21, fn([&]() { order.push_back(2); }));
+    }));
     // Both cycle-20 events run under run(20); the cycle-21 spawn
     // stays pending.
     EXPECT_EQ(eq.run(20), 2u);
@@ -183,9 +198,10 @@ TEST(EventQueue, EventsAtLimitMaySpawnSameCycleWork)
 TEST(EventQueueDeath, PastSchedulingPanics)
 {
     EventQueue eq;
-    eq.schedule(10, []() {});
+    test::Thunks fn;
+    eq.schedule(10, fn([]() {}));
     eq.run();
-    EXPECT_DEATH(eq.schedule(5, []() {}), "into the past");
+    EXPECT_DEATH(eq.schedule(5, fn([]() {})), "into the past");
 }
 
 TEST(EventQueueDeath, DoubleSchedulePanics)
@@ -475,11 +491,15 @@ TEST(EventQueue, RecurringEventsRunAllocationFree)
 
 TEST(EventQueue, OneShotPoolStopsGrowingAtHighWaterMark)
 {
+    // Plain DoneCb one-shots: nothing is captured, so the only storage
+    // the scheduling path can grow is the queue's own pool.
     EventQueue eq;
     int fired = 0;
+    const DoneCb bump{[](void *c, unsigned) { ++*static_cast<int *>(c); },
+                      &fired, 0};
     auto burst = [&]() {
         for (int i = 0; i < 100; i++)
-            eq.scheduleIn(1 + i % 7, [&]() { fired++; });
+            eq.scheduleIn(1 + i % 7, bump);
         eq.run();
     };
     for (int round = 0; round < 4; round++)
@@ -490,4 +510,137 @@ TEST(EventQueue, OneShotPoolStopsGrowingAtHighWaterMark)
         burst();
     EXPECT_EQ(eq.poolAllocations(), allocs);
     EXPECT_EQ(fired, 800);
+}
+
+TEST(EventQueue, OneShotPassesItsArgAndToleratesEmptyCallback)
+{
+    EventQueue eq;
+    std::vector<std::pair<unsigned, Cycle>> seen;
+    struct Ctx
+    {
+        EventQueue *eq;
+        std::vector<std::pair<unsigned, Cycle>> *seen;
+    } ctx{&eq, &seen};
+    const DoneCb::Fn record = [](void *c, unsigned arg) {
+        auto *x = static_cast<Ctx *>(c);
+        x->seen->push_back({arg, x->eq->now()});
+    };
+    eq.schedule(4, DoneCb{record, &ctx, 7});
+    eq.schedule(4, DoneCb{});              // occupies cycle 4, runs nothing
+    eq.schedule(9, DoneCb{});              // the last event moves now()
+    eq.schedule(2, DoneCb{record, &ctx, 3});
+    EXPECT_EQ(eq.run(), 4u);
+    EXPECT_EQ(seen, (std::vector<std::pair<unsigned, Cycle>>{{3, 2},
+                                                             {7, 4}}));
+    EXPECT_EQ(eq.now(), 9u);
+}
+
+// EventPool: the one pinned, free-listed arena behind every pooled
+// event (the queue's one-shots, cache accesses and responses, DRAM
+// completions, OoO exec events).
+
+namespace {
+
+struct PoolOwner
+{
+    int id = 0;
+};
+
+/** ResponseEvent-shaped: an owner pointer and a reusable vector. */
+struct PooledEvent final : Event
+{
+    void process() override {}
+    PoolOwner *owner = nullptr;
+    std::vector<int> waiters;
+};
+
+} // namespace
+
+TEST(EventPool, SetsOwnerAndReusesLifo)
+{
+    PoolOwner o;
+    EventPool<PooledEvent> pool(&o);
+    PooledEvent &a = pool.acquire();
+    PooledEvent &b = pool.acquire();
+    PooledEvent &c = pool.acquire();
+    EXPECT_EQ(a.owner, &o);
+    EXPECT_EQ(c.owner, &o);
+    EXPECT_NE(&a, &b);
+    pool.release(b);
+    pool.release(c);
+    // Last released, first reused.
+    EXPECT_EQ(&pool.acquire(), &c);
+    EXPECT_EQ(&pool.acquire(), &b);
+    EXPECT_EQ(pool.size(), 3u);
+    EXPECT_EQ(pool.acquire().owner, &o); // a fresh fourth event
+    EXPECT_EQ(pool.size(), 4u);
+}
+
+TEST(EventPool, AddressesStayStableAcrossGrowth)
+{
+    PoolOwner o;
+    EventPool<PooledEvent> pool(&o);
+    std::vector<PooledEvent *> held;
+    for (int i = 0; i < 5000; i++) {
+        PooledEvent &ev = pool.acquire();
+        ev.waiters.assign(1, i);
+        held.push_back(&ev);
+    }
+    // Growing the pool never moved an acquired event.
+    for (int i = 0; i < 5000; i++) {
+        ASSERT_EQ(held[i]->waiters.size(), 1u);
+        EXPECT_EQ(held[i]->waiters[0], i);
+        EXPECT_EQ(held[i]->owner, &o);
+    }
+    std::vector<PooledEvent *> sorted = held;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()),
+              sorted.end());
+}
+
+TEST(EventPool, ReusedEventKeepsItsVectorCapacity)
+{
+    PoolOwner o;
+    EventPool<PooledEvent> pool(&o);
+    PooledEvent &ev = pool.acquire();
+    for (int i = 0; i < 64; i++)
+        ev.waiters.push_back(i);
+    const int *storage = ev.waiters.data();
+    ev.waiters.clear(); // what ResponseEvent's owner does before release
+    pool.release(ev);
+    PooledEvent &again = pool.acquire();
+    ASSERT_EQ(&again, &ev);
+    EXPECT_GE(again.waiters.capacity(), 64u);
+    EXPECT_EQ(again.waiters.data(), storage);
+}
+
+TEST(EventPool, DoesNotGrowPastItsHighWaterMark)
+{
+    PoolOwner o;
+    EventPool<PooledEvent> pool(&o);
+    Rng rng(17);
+    std::vector<PooledEvent *> live;
+    auto churn = [&](unsigned steps) {
+        for (unsigned s = 0; s < steps; s++) {
+            if (live.size() < 32 && (live.empty() || rng.chance(0.5))) {
+                live.push_back(&pool.acquire());
+            } else {
+                std::size_t k = rng.below(live.size());
+                pool.release(*live[k]);
+                live[k] = live.back();
+                live.pop_back();
+            }
+        }
+    };
+    // Reach the high-water mark of 32 live events, then free them all.
+    for (int i = 0; i < 32; i++)
+        live.push_back(&pool.acquire());
+    for (PooledEvent *ev : live)
+        pool.release(*ev);
+    live.clear();
+    ASSERT_EQ(pool.size(), 32u);
+    // Any interleaving that never holds more than 32 is served from
+    // the free list.
+    churn(20000);
+    EXPECT_EQ(pool.size(), 32u);
 }

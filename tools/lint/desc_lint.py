@@ -12,6 +12,10 @@ Enforces repo invariants the compiler cannot see:
                      when libclang is available the build passes
                      --without-ast-superseded and the AST check takes
                      over
+  hot-path-function  no std::function in the hot-path files: deferred
+                     work is a sim::DoneCb (function pointer, context,
+                     integer), which never allocates; a capturing
+                     std::function may spill its captures to the heap
   env-registry       no raw getenv/setenv outside src/common/env.cc —
                      every DESC_* knob is declared once in
                      src/common/env_registry.def and read through the
@@ -64,7 +68,6 @@ HOT_PATH_FILES = [
     # The DESC link and its endpoints: per-block transfers must stay
     # allocation-free.
     "src/core/link.cc",
-    "src/core/linkscheme.cc",
     "src/core/transmitter.cc",
     "src/core/receiver.cc",
     # The bit-plane ticked engine (DESIGN.md §15): wire planes and the
@@ -84,7 +87,12 @@ HOT_PATH_FILES = [
     # payloads live in the set-associative arrays.
     "src/cache/array.hh",
     "src/cache/blockdata.hh",
+    "src/cache/hierarchy.hh",
     "src/cache/hierarchy.cc",
+    # DRAM: one request and one pooled completion per L2 miss or
+    # dirty eviction.
+    "src/dram/ddr3.hh",
+    "src/dram/ddr3.cc",
     # The cores: dispatch and burst events run per retired burst and
     # must reuse the cores' own pooled events.
     "src/cpu/inorder.cc",
@@ -204,6 +212,16 @@ def check_hot_path_alloc(root, rel, text, code, findings):
             "hot-path-alloc", rel, line_of(code, m.start()),
             "naked allocation in an event-kernel hot-path file "
             "(pool it, or grow through owned container storage)"))
+
+
+def check_hot_path_function(root, rel, text, code, findings):
+    if rel not in HOT_PATH_FILES:
+        return
+    for m in re.finditer(r"\bstd\s*::\s*function\b", code):
+        findings.append(Finding(
+            "hot-path-function", rel, line_of(code, m.start()),
+            "std::function in an event-kernel hot-path file (pass a "
+            "sim::DoneCb continuation, or derive a sim::Event)"))
 
 
 STAT_ADD_RE = re.compile(
@@ -446,6 +464,7 @@ def check_serial_harness(root, rel, text, code, findings):
 
 PER_FILE_CHECKS = [
     check_hot_path_alloc,
+    check_hot_path_function,
     check_env_registry,
     check_stat_descriptions,
     check_determinism,
@@ -502,6 +521,7 @@ FIXTURE_EXPECT = {
     "fixtures/bad/fastpath.cc": {"hot-path-alloc"},
     "fixtures/bad/batched.cc": {"hot-path-alloc"},
     "fixtures/bad/planes.cc": {"hot-path-alloc"},
+    "fixtures/bad/callback.cc": {"hot-path-function"},
     "fixtures/bad/stats_use.cc": {"stat-description"},
     "fixtures/bad/tracing.cc": {"trace-channel"},
     "fixtures/bad/profiling.cc": {"prof-component"},
@@ -534,7 +554,7 @@ def self_test(tool_root, repo_root):
         # Fixture headers use src/-style guard expectations relative to
         # their fixture name, so point the guard check at the rel path.
         for check in PER_FILE_CHECKS + BENCH_CHECKS:
-            if check is check_hot_path_alloc:
+            if check in (check_hot_path_alloc, check_hot_path_function):
                 # Treat every bad fixture as a hot-path file.
                 if "bad/" in rel:
                     saved = HOT_PATH_FILES[:]
