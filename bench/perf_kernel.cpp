@@ -23,6 +23,7 @@
 #include "common/rng.hh"
 #include "core/chunk.hh"
 #include "core/descscheme.hh"
+#include "core/factory.hh"
 #include "core/link.hh"
 #include "ecc/blockcodec.hh"
 #include "encoding/businvert.hh"
@@ -284,18 +285,21 @@ benchEcc(std::uint64_t blocks_n)
 }
 
 sim::SystemConfig
-benchSystemConfig(std::uint64_t insts)
+benchSystemConfig(
+    std::uint64_t insts,
+    encoding::SchemeKind kind = encoding::SchemeKind::DescZeroSkip)
 {
     auto cfg = sim::baselineConfig(workloads::parallelApps()[0]);
     cfg.insts_per_thread = insts;
-    sim::applyScheme(cfg, encoding::SchemeKind::DescZeroSkip);
+    sim::applyScheme(cfg, kind);
     return cfg;
 }
 
 double
-benchRunSystem(std::uint64_t insts, unsigned reps, std::uint64_t *cycles)
+benchRunSystem(std::uint64_t insts, unsigned reps, std::uint64_t *cycles,
+               encoding::SchemeKind kind = encoding::SchemeKind::DescZeroSkip)
 {
-    auto cfg = benchSystemConfig(insts);
+    auto cfg = benchSystemConfig(insts, kind);
 
     double best = 0.0;
     auto reads = envReads();
@@ -337,18 +341,45 @@ benchRunSystemSteady(std::uint64_t insts, unsigned reps,
     return rate;
 }
 
+/** The scheme of the reference-speed probe below: one the hook reaches. */
+constexpr encoding::SchemeKind kReferenceProbeScheme =
+    encoding::SchemeKind::BusInvert;
+
 /**
- * The same workload with the encoders built on the scalar reference
- * walk (the setReferenceEncoders test hook). Tracked so a regression
- * in the reference stays visible, and doubling as an equivalence
- * probe: the cycle count must match the word-pass run exactly.
+ * True if the hook moves the probe's L2 scheme from its word pass to
+ * its scalar walk; otherwise the probe below would time one engine
+ * twice and its cycle check would compare the pass with itself.
+ */
+bool
+hookReachesProbeScheme()
+{
+    const auto cfg = benchSystemConfig(1, kReferenceProbeScheme);
+    auto word_pass = [&] {
+        return core::makeScheme(cfg.l2.scheme, cfg.l2.effectiveSchemeConfig())
+            ->usesWordPass();
+    };
+    const bool by_default = word_pass();
+    encoding::setReferenceEncoders(true);
+    const bool under_hook = word_pass();
+    encoding::setReferenceEncoders(false);
+    return by_default && !under_hook;
+}
+
+/**
+ * The workload on a bus-invert L2 with the encoders built on the
+ * scalar reference walk (the setReferenceEncoders test hook, which
+ * reaches the bus-invert family, DZC and the chunk statistics, not
+ * DESC). Tracked so a regression in the reference stays visible, and
+ * doubling as an equivalence probe: the cycle count must match the
+ * same workload on the word pass (@p word_cycles) exactly.
  */
 double
 benchRunSystemTicked(std::uint64_t insts, unsigned reps,
-                     std::uint64_t *cycles)
+                     std::uint64_t *cycles, std::uint64_t *word_cycles)
 {
+    (void)benchRunSystem(insts, 1, word_cycles, kReferenceProbeScheme);
     encoding::setReferenceEncoders(true);
-    double rate = benchRunSystem(insts, reps, cycles);
+    double rate = benchRunSystem(insts, reps, cycles, kReferenceProbeScheme);
     encoding::setReferenceEncoders(false);
     return rate;
 }
@@ -456,16 +487,23 @@ main(int argc, char **argv)
                  "set-up %.1f%%)\n",
                  rs_steady, (unsigned long long)steady_cycles,
                  steady_setup_pct);
+    if (!hookReachesProbeScheme()) {
+        std::fprintf(stderr, "FAIL: the reference hook does not switch the "
+                             "probe scheme's engine\n");
+        return 1;
+    }
     std::uint64_t cycles_ticked = 0;
-    double rs_ticked = benchRunSystemTicked(insts, reps, &cycles_ticked);
+    std::uint64_t cycles_word = 0;
+    double rs_ticked =
+        benchRunSystemTicked(insts, reps, &cycles_ticked, &cycles_word);
     std::fprintf(stderr, "runsys-tk: %12.0f sim-cycles/sec (%llu cycles)\n",
                  rs_ticked, (unsigned long long)cycles_ticked);
-    if (cycles_ticked != cycles) {
+    if (cycles_ticked != cycles_word) {
         std::fprintf(stderr,
                      "FAIL: scalar reference diverged (%llu vs %llu "
                      "cycles)\n",
                      (unsigned long long)cycles_ticked,
-                     (unsigned long long)cycles);
+                     (unsigned long long)cycles_word);
         return 1;
     }
     double prof_pct = benchProfOverheadPct(insts, rs, cycles, quick);

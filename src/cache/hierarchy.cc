@@ -48,7 +48,7 @@ MemHierarchy::MemHierarchy(sim::EventQueue &eq, const L2Config &l2cfg,
       _chunk_stats(l2cfg.scheme_cfg.chunk_bits == 0
                        ? 4
                        : l2cfg.scheme_cfg.chunk_bits,
-                   128)
+                   128, l2cfg.scheme_cfg.block_bits)
 {
     DESC_ASSERT(num_cores >= 1 && num_cores <= 8,
                 "directory bitmap supports up to 8 cores");

@@ -41,102 +41,72 @@ joinChunks(const std::vector<std::uint8_t> &chunks, unsigned chunk_bits,
     return block;
 }
 
-ChunkStats::ChunkStats(unsigned chunk_bits, unsigned wires)
-    : _chunk_bits(chunk_bits), _wires(wires),
-      _word_pass(!encoding::referenceEncoders()
-                 && swar::supportedChunk(chunk_bits)),
-      _hist(1u << chunk_bits), _last(wires, 0), _last_valid(wires, false),
-      _prev_words((std::size_t(wires) * chunk_bits + 63) / 64, 0)
-{
-}
-
 bool
-ChunkStats::wordObservable(unsigned n) const
+ChunkStats::fits(unsigned chunk_bits, unsigned wires, unsigned block_bits)
 {
-    // The word pass needs complete waves (every wire sees the same
-    // number of chunks) laid out as whole-word slices of the block; a
-    // single wave always starts at bit 0 and pads with zero bits that
-    // produce no samples or match candidates.
-    if (n % _wires != 0)
+    if (!swar::supportedChunk(chunk_bits) || wires == 0
+        || block_bits % chunk_bits != 0)
         return false;
-    const unsigned waves = n / _wires;
-    if (waves > 1 && (_wires * _chunk_bits) % 64 != 0)
-        return false;
-    return true;
+    const unsigned n = block_bits / chunk_bits;
+    return n % std::min(wires, n) == 0;
 }
 
-void
-ChunkStats::packPrevWords()
+namespace {
+
+/** Wires that carry chunks, once the geometry is known to fit. */
+unsigned
+activeWires(unsigned chunk_bits, unsigned wires, unsigned block_bits)
 {
-    std::fill(_prev_words.begin(), _prev_words.end(), 0);
-    for (unsigned w = 0; w < _wires; w++) {
-        const unsigned pos = w * _chunk_bits;
-        _prev_words[pos >> 6] |= std::uint64_t{_last[w]} << (pos & 63);
-    }
-    _words_fresh = true;
+    DESC_ASSERT(ChunkStats::fits(chunk_bits, wires, block_bits),
+                "no whole waves of ", chunk_bits, "-bit chunks on ", wires,
+                " wires in a ", block_bits, "-bit block");
+    return std::min(wires, block_bits / chunk_bits);
 }
 
-void
-ChunkStats::unpackPrevWords()
+} // namespace
+
+ChunkStats::ChunkStats(unsigned chunk_bits, unsigned wires,
+                       unsigned block_bits)
+    : _chunk_bits(chunk_bits), _wires(wires), _block_bits(block_bits),
+      _active(activeWires(chunk_bits, wires, block_bits)),
+      _word_pass(!encoding::referenceEncoders()),
+      _hist(1u << chunk_bits),
+      _waves(block_bits, _active * chunk_bits)
 {
-    const std::uint64_t mask = (std::uint64_t{1} << _chunk_bits) - 1;
-    for (unsigned w = 0; w < _wires; w++) {
-        const unsigned pos = w * _chunk_bits;
-        _last[w] =
-            std::uint8_t((_prev_words[pos >> 6] >> (pos & 63)) & mask);
-        _last_valid[w] = _primed;
-    }
-    _words_fresh = false;
+    if (_word_pass)
+        _prev_words.assign(_waves.words(), 0);
+    else
+        _last.assign(_active, 0);
 }
 
 void
 ChunkStats::observe(const BitVec &block)
 {
-    DESC_ASSERT(block.width() % _chunk_bits == 0,
-                "block width not divisible by chunk size");
-    const unsigned n = block.width() / _chunk_bits;
-    if (_word_pass && wordObservable(n)) {
-        if (!_words_fresh) {
-            // Adopting the packed representation needs uniform wire
-            // validity, which only complete blocks guarantee; mixed
-            // scalar streams with ragged validity stay scalar.
-            const bool uniform = _hist.total() == 0
-                || std::all_of(_last_valid.begin(), _last_valid.end(),
-                               [&](bool v) { return v == _primed; });
-            if (!uniform) {
-                observeScalar(block, n);
-                return;
-            }
-            packPrevWords();
-        }
-        observeWord(block, n);
-        return;
-    }
-    if (_words_fresh)
-        unpackPrevWords();
-    observeScalar(block, n);
+    DESC_ASSERT(block.width() == _block_bits, "observed a ", block.width(),
+                "-bit block, built for ", _block_bits);
+    if (_word_pass)
+        observeWord(block);
+    else
+        observeScalar(block);
+    _primed = true;
 }
 
 void
-ChunkStats::observeScalar(const BitVec &block, unsigned n)
+ChunkStats::observeScalar(const BitVec &block)
 {
+    const unsigned n = _block_bits / _chunk_bits;
     BitCursor cur(block);
-    unsigned w = 0;
     for (unsigned i = 0; i < n; i++) {
+        const unsigned w = i % _active;
         const auto chunk = std::uint8_t(cur.next(_chunk_bits));
         _hist.sample(chunk);
-        if (_last_valid[w]) {
+        if (_primed || i >= _active) {
             _match_candidates++;
             if (_last[w] == chunk)
                 _matches++;
         }
         _last[w] = chunk;
-        _last_valid[w] = true;
-        if (++w == _wires)
-            w = 0;
     }
-    if (n % _wires == 0 && n > 0)
-        _primed = true;
 }
 
 namespace {
@@ -184,54 +154,46 @@ constexpr DiffFn kDiff[4] = {diffChunks<1>, diffChunks<2>, diffChunks<4>,
 } // namespace
 
 void
-ChunkStats::observeWord(const BitVec &block, unsigned n)
+ChunkStats::observeWord(const BitVec &block)
 {
     const unsigned lb = unsigned(std::countr_zero(_chunk_bits));
-    const unsigned waves = n / _wires;
-    const auto &words = block.words();
-    const unsigned wpw = waves > 1 ? _wires * _chunk_bits / 64
-                                   : unsigned(words.size());
+    const unsigned waves = _block_bits / (_active * _chunk_bits);
+    const unsigned wpw = _waves.words();
     const unsigned cpw = 64 / _chunk_bits; // chunks per full word
 
     std::uint32_t counts[256] = {};
     std::uint64_t diffs = 0;
-    unsigned candidate_waves = 0;
 
     for (unsigned g = 0; g < waves; g++) {
-        const std::uint64_t *cur = words.data() + std::size_t(g) * wpw;
+        const std::uint64_t *cur = _waves.wave(block, g);
         // Histogram: padding chunks past the wave's real width must
         // not be sampled, so the final word counts only its remainder.
-        unsigned left = _wires;
+        unsigned left = _active;
         for (unsigned j = 0; j < wpw; j++) {
             kCount[lb](cur[j], std::min(left, cpw), counts);
             left -= std::min(left, cpw);
         }
-        // Matches against the previous chunk on each wire: the prior
-        // word slice, or the previous block's final wave for wave 0.
-        // Padding bits are zero on both sides and cannot produce a
-        // spurious difference.
-        const std::uint64_t *prev = g == 0 ? _prev_words.data() : cur - wpw;
+        // Matches against the previous chunk on each wire: the
+        // previous wave, of this block or the last one. Padding bits
+        // are zero on both sides and cannot produce a spurious
+        // difference.
         if (g > 0 || _primed) {
-            candidate_waves++;
             for (unsigned j = 0; j < wpw; j++) {
-                const std::uint64_t d = cur[j] ^ prev[j];
+                const std::uint64_t d = cur[j] ^ _prev_words[j];
                 if (d)
                     diffs += kDiff[lb](d);
             }
         }
+        std::copy_n(cur, wpw, _prev_words.begin());
     }
 
     for (unsigned v = 0; v < (1u << _chunk_bits); v++) {
         if (counts[v])
             _hist.sample(v, counts[v]);
     }
-    _match_candidates += std::uint64_t(candidate_waves) * _wires;
-    _matches += std::uint64_t(candidate_waves) * _wires - diffs;
-
-    std::copy_n(words.data() + std::size_t(waves - 1) * wpw, wpw,
-                _prev_words.begin());
-    _primed = true;
-    _words_fresh = true;
+    const unsigned candidate_waves = _primed ? waves : waves - 1;
+    _match_candidates += std::uint64_t(candidate_waves) * _active;
+    _matches += std::uint64_t(candidate_waves) * _active - diffs;
 }
 
 double

@@ -10,11 +10,14 @@
 #ifndef DESC_CORE_CHUNK_HH
 #define DESC_CORE_CHUNK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/bitvec.hh"
+#include "common/contract.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 
 namespace desc::core {
 
@@ -41,6 +44,52 @@ chunkSlot(unsigned i, unsigned wires)
 }
 
 /**
+ * The waves of a block as packed words (Figure 4). Wave g carries
+ * chunks g*W .. g*W+W-1 of a W-wire bus; the chunk on wire w sits at
+ * bit w*chunk_bits of the wave's words(), and bits past the wave's
+ * width read zero. A block's single wave, and waves that are whole
+ * words, are read in place; any other wave (32 one-bit wires, say) is
+ * gathered into a scratch word array that the next wave() call
+ * overwrites. DescScheme and ChunkStats both walk blocks through it.
+ */
+class WaveWords
+{
+  public:
+    WaveWords(unsigned block_bits, unsigned wave_bits)
+        : _wave_bits(wave_bits), _words((wave_bits + 63) / 64),
+          _in_place(wave_bits == block_bits || wave_bits % 64 == 0),
+          _scratch(_in_place ? 0 : _words)
+    {
+        DESC_ASSERT(wave_bits >= 1 && block_bits % wave_bits == 0,
+                    "a ", block_bits, "-bit block is not whole ",
+                    wave_bits, "-bit waves");
+    }
+
+    /** Words per wave. */
+    unsigned words() const { return _words; }
+
+    /** Wave @p g of @p block. */
+    const std::uint64_t *
+    wave(const BitVec &block, unsigned g)
+    {
+        if (_in_place)
+            return block.words().data() + std::size_t(g) * _words;
+        const unsigned base = g * _wave_bits;
+        for (unsigned k = 0; k < _words; k++) {
+            const unsigned len = std::min(64u, _wave_bits - 64 * k);
+            _scratch[k] = block.fieldUnchecked(base + 64 * k, len);
+        }
+        return _scratch.data();
+    }
+
+  private:
+    unsigned _wave_bits;
+    unsigned _words;
+    bool _in_place;
+    std::vector<std::uint64_t> _scratch;
+};
+
+/**
  * Chunk-value statistics accumulated over a stream of blocks: the
  * value histogram of Figure 12 and the consecutive-chunk match
  * fraction (per wire) of Figure 13.
@@ -48,9 +97,19 @@ chunkSlot(unsigned i, unsigned wires)
 class ChunkStats
 {
   public:
-    ChunkStats(unsigned chunk_bits, unsigned wires);
+    /**
+     * Statistics of @p block_bits-bit blocks of @p chunk_bits-bit
+     * chunks (1, 2, 4 or 8) on @p wires wires; a block with fewer
+     * chunks than wires uses one wire per chunk.
+     */
+    ChunkStats(unsigned chunk_bits, unsigned wires,
+               unsigned block_bits = kBlockBits);
 
-    /** Account one transferred block. */
+    /** True if the constructor accepts this geometry. */
+    static bool fits(unsigned chunk_bits, unsigned wires,
+                     unsigned block_bits = kBlockBits);
+
+    /** Account one transferred block of the constructed width. */
     void observe(const BitVec &block);
 
     /** Fraction of chunks with value @p v (Figure 12). */
@@ -70,9 +129,8 @@ class ChunkStats
     const Histogram &histogram() const { return _hist; }
 
     /**
-     * True when observe() takes the word pass for blocks of whole,
-     * word-aligned waves (chunk width 1, 2, 4 or 8, and not built
-     * under encoding::setReferenceEncoders(true)).
+     * True when observe() takes the word pass; false only for an
+     * object built under encoding::setReferenceEncoders(true).
      */
     bool usesWordPass() const { return _word_pass; }
 
@@ -91,38 +149,39 @@ class ChunkStats
     restore(Histogram hist, std::uint64_t matches,
             std::uint64_t match_candidates)
     {
+        DESC_ASSERT(hist.numBins() == _hist.numBins(), "restored ",
+                    hist.numBins(), "-bin histogram for ", _chunk_bits,
+                    "-bit chunks");
         _hist = std::move(hist);
         _matches = matches;
         _match_candidates = match_candidates;
     }
 
   private:
-    void observeScalar(const BitVec &block, unsigned n);
-    void observeWord(const BitVec &block, unsigned n);
-    bool wordObservable(unsigned n) const;
-    void packPrevWords();
-    void unpackPrevWords();
+    void observeScalar(const BitVec &block);
+    void observeWord(const BitVec &block);
 
     unsigned _chunk_bits;
     unsigned _wires;
-    bool _word_pass; //!< word pass fits the chunk width (latched)
+    unsigned _block_bits;
+    unsigned _active; //!< wires carrying chunks
+    bool _word_pass;
     Histogram _hist;
-    std::vector<std::uint8_t> _last;
-    std::vector<bool> _last_valid;
     std::uint64_t _matches = 0;
     std::uint64_t _match_candidates = 0;
 
-    /**
-     * Word-pass state: the previous wave packed at chunk_bits per
-     * wire, and whether every wire has transmitted at least once (a
-     * complete block primes all wires, so one flag replaces the
-     * per-wire valid bits). Exactly one of the byte/word wire-state
-     * representations is fresh at a time; the observe paths convert
-     * on entry when the other path ran last.
-     */
-    std::vector<std::uint64_t> _prev_words;
+    /** A block was observed, so every active wire has a last chunk. */
     bool _primed = false;
-    bool _words_fresh = false;
+
+    WaveWords _waves;
+
+    /**
+     * The previous chunk on each wire, in the engine's own form: one
+     * byte per wire on the scalar walk, the packed wave on the word
+     * pass.
+     */
+    std::vector<std::uint8_t> _last;
+    std::vector<std::uint64_t> _prev_words;
 };
 
 } // namespace desc::core

@@ -4,8 +4,6 @@
 #include <bit>
 
 #include "common/contract.hh"
-#include "core/chunk.hh"
-#include "core/timing.hh"
 #include "encoding/swar.hh"
 
 namespace desc::core {
@@ -38,56 +36,66 @@ scanZeroWave(const std::uint64_t *cur, unsigned wpw)
 }
 
 /**
- * Last-value-skip wave: a chunk is driven iff it differs from the
- * previous wave's chunk on the same wire, at cost
+ * Skipped wave against per-wire skip values (the previous wave, or
+ * the adaptive tracker's choice): a chunk is driven iff it differs
+ * from its wire's skip value s, at cost
  * chunkCycles(v, skip=true, s) = v + (v < s). The +1 cannot carry out
  * of the chunk because v < s bounds v below the chunk maximum; chunks
  * equal to their skip value are masked out of the window fold.
  */
 template <unsigned B>
 WaveScan
-scanLastWave(const std::uint64_t *cur, const std::uint64_t *prev,
+scanSkipWave(const std::uint64_t *cur, const std::uint64_t *skip,
              unsigned wpw)
 {
     constexpr std::uint64_t lane_ones = (std::uint64_t{1} << B) - 1;
     WaveScan r;
     for (unsigned j = 0; j < wpw; j++) {
-        const std::uint64_t d = cur[j] ^ prev[j];
+        const std::uint64_t d = cur[j] ^ skip[j];
         if (!d)
             continue;
         const std::uint64_t markers = swar::nonzeroChunkMarkers<B>(d);
         r.sent += unsigned(std::popcount(markers));
         const std::uint64_t adj =
-            cur[j] + swar::lessPerChunk<B>(cur[j], prev[j]);
+            cur[j] + swar::lessPerChunk<B>(cur[j], skip[j]);
         r.maxv = std::max(r.maxv,
                           swar::maxChunk<B>(adj & (markers * lane_ones)));
     }
     return r;
 }
 
-/** Basic mode, single wave: the slowest wire is the maximum chunk. */
+/**
+ * Basic mode: add each wire's chunk of one wave into 16-bit lane
+ * sums. Sum word j*(16/B)+p holds, in its four lanes, the sums of the
+ * wave word j chunks p, p+16/B, p+2*16/B and p+3*16/B.
+ */
 template <unsigned B>
-std::uint64_t
-maxOverWords(const std::uint64_t *cur, unsigned wpw)
+void
+addWave(const std::uint64_t *cur, unsigned wpw, std::uint64_t *sums)
 {
-    std::uint64_t maxv = 0;
-    for (unsigned j = 0; j < wpw; j++)
-        maxv = std::max(maxv, swar::maxChunk<B>(cur[j]));
-    return maxv;
+    constexpr unsigned spread = 16 / B;
+    constexpr std::uint64_t lanes = swar::laneLowMask(16, B);
+    for (unsigned j = 0; j < wpw; j++) {
+        const std::uint64_t x = cur[j];
+        if (!x)
+            continue;
+        for (unsigned p = 0; p < spread; p++)
+            sums[j * spread + p] += (x >> (p * B)) & lanes;
+    }
 }
 
 using ScanZeroFn = WaveScan (*)(const std::uint64_t *, unsigned);
-using ScanLastFn = WaveScan (*)(const std::uint64_t *,
+using ScanSkipFn = WaveScan (*)(const std::uint64_t *,
                                 const std::uint64_t *, unsigned);
-using MaxFn = std::uint64_t (*)(const std::uint64_t *, unsigned);
+using AddFn = void (*)(const std::uint64_t *, unsigned, std::uint64_t *);
 
 /** Instantiations for each supported chunk width, indexed by log2. */
 constexpr ScanZeroFn kScanZero[4] = {scanZeroWave<1>, scanZeroWave<2>,
                                      scanZeroWave<4>, scanZeroWave<8>};
-constexpr ScanLastFn kScanLast[4] = {scanLastWave<1>, scanLastWave<2>,
-                                     scanLastWave<4>, scanLastWave<8>};
-constexpr MaxFn kMaxWords[4] = {maxOverWords<1>, maxOverWords<2>,
-                                maxOverWords<4>, maxOverWords<8>};
+constexpr ScanSkipFn kScanSkip[4] = {scanSkipWave<1>, scanSkipWave<2>,
+                                     scanSkipWave<4>, scanSkipWave<8>};
+constexpr AddFn kAddWave[4] = {addWave<1>, addWave<2>, addWave<4>,
+                               addWave<8>};
 
 /** log2 of a supported chunk width (1, 2, 4, 8). */
 inline unsigned
@@ -96,43 +104,36 @@ chunkLog2(unsigned b)
     return unsigned(std::countr_zero(b));
 }
 
-/**
- * True if the word pass covers @p cfg's geometry. The SWAR pass needs
- * chunks that pack a 64-bit word evenly and a wave layout where every
- * wave is a whole-word slice of the block (a single wave always starts
- * at bit 0, so only multi-wave configurations need the alignment). The
- * adaptive tracker updates per chunk in stream order and stays on the
- * scalar walk; basic mode accumulates per-wire time across waves,
- * which the word pass only reproduces for the single-wave layout.
- */
-bool
-wordPassFits(const DescConfig &cfg)
+/** @p cfg, once it is known to be a geometry the word pass packs. */
+const DescConfig &
+checked(const DescConfig &cfg)
 {
-    if (cfg.skip == SkipMode::Adaptive)
-        return false;
-    if (!swar::supportedChunk(cfg.chunk_bits))
-        return false;
-    const unsigned waves = cfg.numWaves();
-    if (waves > 1 && (cfg.activeWires() * cfg.chunk_bits) % 64 != 0)
-        return false;
-    if (cfg.skip == SkipMode::None && waves > 1)
-        return false;
-    return true;
+    cfg.validate();
+    DESC_ASSERT(swar::supportedChunk(cfg.chunk_bits),
+                "DescScheme packs 1, 2, 4 or 8-bit chunks, not ",
+                cfg.chunk_bits, "; DescLink models other widths");
+    return cfg;
 }
 
 } // namespace
 
 DescScheme::DescScheme(const DescConfig &cfg)
-    : _cfg(cfg), _adaptive(cfg.activeWires(), cfg.chunk_bits)
+    : _cfg(checked(cfg)),
+      _waves(cfg.block_bits, cfg.activeWires() * cfg.chunk_bits),
+      _adaptive(cfg.activeWires(), cfg.chunk_bits)
 {
-    _cfg.validate();
-    _word_pass = !encoding::referenceEncoders() && wordPassFits(_cfg);
-    if (_cfg.skip == SkipMode::LastValue) {
-        if (_word_pass)
-            _last_words.assign(
-                (_cfg.activeWires() * _cfg.chunk_bits + 63) / 64, 0);
-        else
-            _last.assign(_cfg.activeWires(), 0);
+    switch (_cfg.skip) {
+      case SkipMode::None:
+        DESC_ASSERT(_cfg.numWaves() * _cfg.maxValue() < (1u << 15),
+                    "basic-mode wire sums overflow their 16-bit lanes");
+        _wire_sums.assign(_waves.words() * 16 / _cfg.chunk_bits, 0);
+        break;
+      case SkipMode::Zero:
+        break;
+      case SkipMode::LastValue:
+      case SkipMode::Adaptive:
+        _skip.assign(_waves.words(), 0);
+        break;
     }
 }
 
@@ -156,38 +157,24 @@ encoding::TransferResult
 DescScheme::transfer(const BitVec &block)
 {
     DESC_ASSERT(block.width() == _cfg.block_bits, "block width mismatch");
-    if (_word_pass)
-        return transferWord(block);
-    return transferScalar(block);
-}
-
-encoding::TransferResult
-DescScheme::transferScalar(const BitVec &block)
-{
     encoding::TransferResult result;
 
+    const unsigned lb = chunkLog2(_cfg.chunk_bits);
     const unsigned wires = _cfg.activeWires();
     const unsigned waves = _cfg.numWaves();
-    const unsigned chunk_bits = _cfg.chunk_bits;
+    const unsigned wpw = _waves.words();
 
     if (_cfg.skip == SkipMode::None) {
         // One reset pulse, then every wire streams its queue back to
-        // back; the block completes when the slowest wire finishes.
-        // Walked wave-major so the chunks read sequentially; per-wire
-        // time accumulates in a reused scratch vector.
-        _wire_time.assign(wires, 0);
-        BitCursor cur(block);
-        for (unsigned g = 0; g < waves; g++) {
-            for (unsigned w = 0; w < wires; w++) {
-                std::uint64_t v = cur.next(chunk_bits);
-                _wire_time[w] += chunkCycles(v, false, 0);
-            }
-        }
-        Cycle window = 0;
-        for (unsigned w = 0; w < wires; w++) {
-            if (_wire_time[w] > window)
-                window = _wire_time[w];
-        }
+        // back, sum(v + 1) cycles over its chunks; the block completes
+        // when the slowest wire finishes.
+        std::fill(_wire_sums.begin(), _wire_sums.end(), 0);
+        for (unsigned g = 0; g < waves; g++)
+            kAddWave[lb](_waves.wave(block, g), wpw, _wire_sums.data());
+        std::uint64_t m = 0;
+        for (std::uint64_t s : _wire_sums)
+            m = swar::laneMax<16>(m, s);
+        const Cycle window = waves + swar::foldMaxLanes<16>(m);
         result.cycles = 1 + window;
         result.data_flips = _cfg.numChunks();
         // Reset pulse plus one sync-strobe transition per busy cycle.
@@ -197,88 +184,19 @@ DescScheme::transferScalar(const BitVec &block)
 
     // Value-skipped protocol: one chunk per wire per wave; the pulse
     // closing a wave is merged with the next wave's opening pulse.
-    // The (wave, wire) order reads the block's chunks sequentially.
-    BitCursor cur(block);
     Cycle cycles = 1; // opening pulse of wave 0
     std::uint64_t reset_flips = 1;
     for (unsigned g = 0; g < waves; g++) {
-        unsigned window = 0;
-        bool any_skipped = false;
-        for (unsigned w = 0; w < wires; w++) {
-            std::uint64_t v = cur.next(chunk_bits);
-            std::uint64_t s = 0;
-            if (_cfg.skip == SkipMode::LastValue) {
-                s = _last[w];
-                _last[w] = std::uint8_t(v);
-            } else if (_cfg.skip == SkipMode::Adaptive) {
-                s = _adaptive.best(w);
-                _adaptive.update(w, std::uint8_t(v));
-            }
-            if (v == s) {
-                any_skipped = true;
-                result.skipped++;
-            } else {
-                result.data_flips++;
-                unsigned c = chunkCycles(v, true, s);
-                if (c > window)
-                    window = c;
-            }
-        }
-        if (window == 0)
-            window = 1; // all-skipped wave: closing pulse one cycle later
-        cycles += window;
-        if (g + 1 < waves)
-            reset_flips++; // merged close/open
-        else if (any_skipped)
-            reset_flips++; // final closing pulse
-    }
-    result.cycles = cycles;
-    result.control_flips = reset_flips + cycles; // + sync strobe
-    return result;
-}
-
-encoding::TransferResult
-DescScheme::transferWord(const BitVec &block)
-{
-    encoding::TransferResult result;
-
-    const unsigned lb = chunkLog2(_cfg.chunk_bits);
-    const unsigned wires = _cfg.activeWires();
-    const unsigned waves = _cfg.numWaves();
-    const auto &words = block.words();
-    // Each wave is a whole-word slice (wordPassFits); a single
-    // wave spans the entire block, padding bits beyond the width read
-    // zero and so never produce spurious chunk activity.
-    const unsigned wpw = waves > 1 ? wires * _cfg.chunk_bits / 64
-                                   : unsigned(words.size());
-
-    if (_cfg.skip == SkipMode::None) {
-        // Single wave: every wire carries exactly one chunk, so the
-        // slowest wire is simply the maximum chunk value (+1 cycle of
-        // per-chunk overhead).
-        const std::uint64_t maxv = kMaxWords[lb](words.data(), wpw);
-        result.cycles = 1 + (Cycle(maxv) + 1);
-        result.data_flips = _cfg.numChunks();
-        result.control_flips = 1 + result.cycles;
-        return result;
-    }
-
-    const bool last_value = _cfg.skip == SkipMode::LastValue;
-    Cycle cycles = 1; // opening pulse of wave 0
-    std::uint64_t reset_flips = 1;
-    for (unsigned g = 0; g < waves; g++) {
-        const std::uint64_t *cur = words.data() + std::size_t(g) * wpw;
+        const std::uint64_t *cur = _waves.wave(block, g);
         WaveScan scan;
-        if (last_value) {
-            // Skip value is the previous wave of the same stream: the
-            // preceding word slice of this block, or the tail of the
-            // previous block for wave 0.
-            const std::uint64_t *prev = g == 0
-                ? _last_words.data()
-                : cur - wpw;
-            scan = kScanLast[lb](cur, prev, wpw);
-        } else {
+        if (_cfg.skip == SkipMode::Zero) {
             scan = kScanZero[lb](cur, wpw);
+        } else {
+            scan = kScanSkip[lb](cur, _skip.data(), wpw);
+            if (_cfg.skip == SkipMode::LastValue)
+                std::copy_n(cur, wpw, _skip.begin());
+            else
+                adaptWave(cur);
         }
         const unsigned sent = scan.sent;
         result.data_flips += sent;
@@ -292,20 +210,35 @@ DescScheme::transferWord(const BitVec &block)
         else if (sent < wires)
             reset_flips++; // final closing pulse
     }
-    if (last_value) {
-        std::copy_n(words.data() + std::size_t(waves - 1) * wpw, wpw,
-                    _last_words.begin());
-    }
     result.cycles = cycles;
     result.control_flips = reset_flips + cycles; // + sync strobe
     return result;
 }
 
+/**
+ * Account wave @p cur to the adaptive tracker, wire by wire, and pack
+ * each wire's new most frequent value into its skip slot. A wire's
+ * update touches only its own tracker row, so scanning the whole wave
+ * against the old skip values first gives the chunk-order result.
+ */
+void
+DescScheme::adaptWave(const std::uint64_t *cur)
+{
+    const unsigned b = _cfg.chunk_bits;
+    const std::uint64_t mask = _cfg.maxValue();
+    for (unsigned w = 0; w < _cfg.activeWires(); w++) {
+        const unsigned pos = w * b;
+        const unsigned off = pos & 63;
+        _adaptive.update(w, std::uint8_t((cur[pos >> 6] >> off) & mask));
+        std::uint64_t &s = _skip[pos >> 6];
+        s = (s & ~(mask << off)) | (std::uint64_t{_adaptive.best(w)} << off);
+    }
+}
+
 void
 DescScheme::reset()
 {
-    std::fill(_last.begin(), _last.end(), 0);
-    std::fill(_last_words.begin(), _last_words.end(), 0);
+    std::fill(_skip.begin(), _skip.end(), 0);
     _adaptive.reset();
 }
 

@@ -16,11 +16,16 @@
 #include <vector>
 
 #include "core/adaptive.hh"
+#include "core/chunk.hh"
 #include "core/config.hh"
 #include "encoding/scheme.hh"
 
 namespace desc::core {
 
+/**
+ * The word pass over 1, 2, 4 or 8-bit chunks, for any wire count and
+ * skip mode; the ticked DescLink models other chunk widths.
+ */
 class DescScheme : public encoding::TransferScheme
 {
   public:
@@ -34,30 +39,25 @@ class DescScheme : public encoding::TransferScheme
 
     const DescConfig &config() const { return _cfg; }
 
-    /**
-     * True when transfer() takes the SWAR word pass. The geometry
-     * picks the pass once, at construction: power-of-two chunks, whole-
-     * word waves, and no adaptive tracker or multi-wave basic mode.
-     */
-    bool usesWordPass() const override { return _word_pass; }
+    /** DescScheme has no other engine. */
+    bool usesWordPass() const override { return true; }
 
   private:
-    encoding::TransferResult transferScalar(const BitVec &block);
-    encoding::TransferResult transferWord(const BitVec &block);
+    void adaptWave(const std::uint64_t *cur);
 
     DescConfig _cfg;
-    bool _word_pass;
+    WaveWords _waves;
     AdaptiveTracker _adaptive;
-    std::vector<Cycle> _wire_time; //!< reused basic-mode scratch
 
     /**
-     * The previous wave's chunk on each wire, the skip values of
-     * last-value skipping (the only mode that reads them back). Each
-     * path keeps its own form: one byte per wire on the scalar walk,
-     * the packed wave (chunk i at bit i*chunk_bits) on the word pass.
+     * Each wire's skip value for the next wave, packed like a wave:
+     * the previous wave (last-value skipping) or the tracker's most
+     * frequent value (adaptive). Zero skipping needs none.
      */
-    std::vector<std::uint8_t> _last;
-    std::vector<std::uint64_t> _last_words;
+    std::vector<std::uint64_t> _skip;
+
+    /** Basic mode: each wire's chunk sum so far, in 16-bit lanes. */
+    std::vector<std::uint64_t> _wire_sums;
 };
 
 } // namespace desc::core

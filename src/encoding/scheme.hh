@@ -26,11 +26,11 @@
 namespace desc::encoding {
 
 /**
- * Test hook: while on, schemes constructed afterwards take their
+ * Test hook: while on, objects constructed afterwards take their
  * scalar reference walk instead of the word pass their geometry would
- * select. Every scheme with a word pass (DescScheme, BusInvertScheme,
- * DynamicZeroScheme) and core::ChunkStats read it once, at
- * construction, and keep that path for life. Each word pass is
+ * select. BusInvertScheme, DynamicZeroScheme and core::ChunkStats
+ * read it once, at construction, and keep that path for life;
+ * DescScheme has one engine and does not read it. Each word pass is
  * bit-identical to its reference, so the hook changes speed only; the
  * differential suites and bench/perf_kernel's reference-speed probe
  * set it, production code never does.
@@ -113,7 +113,7 @@ class TransferScheme
     /**
      * True when transfer() takes a word-at-a-time pass. The scheme's
      * geometry picks the pass at construction; schemes without a word
-     * pass, and any scheme built under setReferenceEncoders(true),
+     * pass, and a segment scheme built under setReferenceEncoders(true),
      * run the scalar walk.
      */
     virtual bool usesWordPass() const { return false; }

@@ -6,8 +6,9 @@
  * use 1..8, the segment passes up to 64); the chunk width is a
  * template parameter so every mask folds to a compile-time constant
  * and each helper compiles to a handful of straight-line shifts. The
- * scalar reference paths remain the semantic definition; the
- * equivalence suite pins these helpers against them chunk by chunk.
+ * ticked DESC link and the segment schemes' scalar walks remain the
+ * semantic definitions; the equivalence and differential suites pin
+ * the passes built on these helpers against them.
  */
 
 #ifndef DESC_ENCODING_SWAR_HH

@@ -101,6 +101,7 @@ class Reader
     }
 
     bool ok() const { return _ok; }
+    void fail() { _ok = false; }
     bool atEnd() const { return _ok && _pos == _buf.size(); }
 
   private:
@@ -235,21 +236,21 @@ putHistogram(Writer &w, const Histogram &h)
     w.u64(h.overflow());
 }
 
+/** A histogram of @p bins bins; any other bin count fails @p r. */
 Histogram
-getHistogram(Reader &r)
+getHistogram(Reader &r, std::uint64_t bins)
 {
-    std::uint64_t n = r.u64();
-    if (n > (1u << 20)) { // malformed file; bail before allocating
-        Histogram empty;
-        return empty;
+    if (r.u64() != bins) {
+        r.fail();
+        return Histogram{};
     }
-    std::vector<std::uint64_t> bins(n);
-    for (auto &b : bins)
+    std::vector<std::uint64_t> counts(bins);
+    for (auto &b : counts)
         b = r.u64();
     std::uint64_t total = r.u64();
     std::uint64_t overflow = r.u64();
-    Histogram h{unsigned(n)};
-    h.restore(std::move(bins), total, overflow);
+    Histogram h{unsigned(bins)};
+    h.restore(std::move(counts), total, overflow);
     return h;
 }
 
@@ -336,10 +337,12 @@ getRun(Reader &r)
 
     unsigned chunk_bits = unsigned(r.u64());
     unsigned wires = unsigned(r.u64());
-    Histogram hist = getHistogram(r);
+    if (!core::ChunkStats::fits(chunk_bits, wires))
+        return std::nullopt;
+    Histogram hist = getHistogram(r, std::uint64_t{1} << chunk_bits);
     std::uint64_t matches = r.u64();
     std::uint64_t candidates = r.u64();
-    if (!r.ok() || chunk_bits < 1 || chunk_bits > 8 || wires < 1)
+    if (!r.ok())
         return std::nullopt;
     core::ChunkStats chunks(chunk_bits, wires);
     chunks.restore(std::move(hist), matches, candidates);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/chunk.hh"
@@ -60,7 +61,7 @@ TEST(ChunkStats, ZeroFractionOfZeroBlockIsOne)
 
 TEST(ChunkStats, ValueFractions)
 {
-    ChunkStats stats(4, 4);
+    ChunkStats stats(4, 4, 16);
     BitVec block(16);
     block.setField(0, 4, 5);
     block.setField(4, 4, 5);
@@ -73,7 +74,7 @@ TEST(ChunkStats, ValueFractions)
 
 TEST(ChunkStats, LastValueMatchesAcrossBlocksOnSameWire)
 {
-    ChunkStats stats(4, 4);
+    ChunkStats stats(4, 4, 16);
     BitVec a(16, 0x1234);
     stats.observe(a);
     // First block has no predecessors: no candidates yet with one
@@ -90,7 +91,7 @@ TEST(ChunkStats, IntraBlockMatchesCountedPerWire)
 {
     // One wire, two chunks per block: consecutive chunks on the same
     // wire are candidates even within a block.
-    ChunkStats stats(4, 1);
+    ChunkStats stats(4, 1, 8);
     BitVec block(8, 0x55); // chunks 5, 5
     stats.observe(block);
     EXPECT_DOUBLE_EQ(stats.lastValueMatchFraction(), 1.0);
@@ -115,48 +116,80 @@ expectSameStats(const ChunkStats &got, const ChunkStats &ref)
 
 } // namespace
 
+TEST(ChunkStats, FewerChunksThanWiresUseOneWirePerChunk)
+{
+    // 64 eight-bit chunks on 128 wires: wires 64..127 stay idle, and
+    // each block's chunks meet the previous block's on wires 0..63.
+    ChunkStats stats(8, 128);
+    BitVec block(kBlockBits);
+    block.setField(0, 8, 0xab);
+    stats.observe(block);
+    EXPECT_EQ(stats.matchCandidates(), 0u);
+    stats.observe(block);
+    EXPECT_EQ(stats.matchCandidates(), 64u);
+    EXPECT_EQ(stats.matches(), 64u);
+    EXPECT_EQ(stats.totalChunks(), 128u);
+}
+
+TEST(ChunkStats, GeometryIsFixedAtConstruction)
+{
+    EXPECT_TRUE(ChunkStats::fits(4, 128));
+    EXPECT_TRUE(ChunkStats::fits(8, 128));
+    EXPECT_TRUE(ChunkStats::fits(4, 1, 8));
+    EXPECT_FALSE(ChunkStats::fits(3, 128));
+    EXPECT_FALSE(ChunkStats::fits(4, 48));
+    EXPECT_FALSE(ChunkStats::fits(4, 0));
+    EXPECT_DEATH(ChunkStats(4, 48), "whole waves");
+    ChunkStats stats(4, 128);
+    EXPECT_DEATH(stats.observe(BitVec(kBlockBits - 4)), "built for");
+    EXPECT_DEATH(stats.restore(Histogram(2), 0, 0), "histogram");
+}
+
 /**
  * The word pass against the scalar walk: every chunk width the pass
- * supports, a wire count that takes the whole block in one wave and
- * one whose waves are single words, over random, sparse, dense,
- * all-zero, all-one and striped blocks. Every fourth block is ragged
- * (its chunk count is not a multiple of the wire count) and takes the
- * scalar walk, so the word-pass object converts its wire history to
- * bytes and back mid-stream. One stream opens with a ragged block,
- * which leaves some wires without history; the other opens with a
- * whole block, whose first wave has no match candidates.
+ * supports, on wire counts that take the whole block in one wave,
+ * whose waves are whole words, and whose waves are not (gathered
+ * into scratch words: 32 one-bit wires, 24-bit waves), over random,
+ * sparse, dense, all-zero, all-one and striped blocks. The first
+ * block's first wave has no match candidates.
  */
 TEST(ChunkStatsDifferential, WordPassMatchesScalarWalk)
 {
+    struct Geometry
+    {
+        unsigned bits, wires, block_bits;
+    };
+    std::vector<Geometry> geometries;
     for (unsigned bits : {1u, 2u, 4u, 8u}) {
-        for (unsigned wires : {kBlockBits / bits, 64 / bits}) {
-            for (unsigned phase : {0u, 1u}) {
-                std::optional<ChunkStats> ref;
-                {
-                    encoding::difftest::ReferenceEncoders on;
-                    ref.emplace(bits, wires);
-                }
-                ChunkStats word(bits, wires);
-                ASSERT_FALSE(ref->usesWordPass());
-                ASSERT_TRUE(word.usesWordPass());
-                SCOPED_TRACE(::testing::Message()
-                             << "chunk " << bits << " wires " << wires
-                             << " phase " << phase);
-                Rng rng(bits * 131 + wires * 7 + phase);
-                for (unsigned i = 0; i < 48; i++) {
-                    const bool ragged = (i + phase) % 4 == 0;
-                    const unsigned width =
-                        ragged ? kBlockBits - 3 * bits : kBlockBits;
-                    const BitVec b = encoding::difftest::differentialBlock(
-                        rng, i, width, bits);
-                    ref->observe(b);
-                    word.observe(b);
-                    SCOPED_TRACE(::testing::Message() << "block " << i);
-                    expectSameStats(word, *ref);
-                    if (::testing::Test::HasFailure())
-                        return;
-                }
-            }
+        for (unsigned wires : {kBlockBits / bits, 64 / bits, 32 / bits,
+                               128u})
+            geometries.push_back({bits, wires, kBlockBits});
+    }
+    geometries.push_back({1, 24, 480});
+    geometries.push_back({2, 12, 480});
+    geometries.push_back({4, 137, 548});
+    for (const Geometry &g : geometries) {
+        std::optional<ChunkStats> ref;
+        {
+            encoding::difftest::ReferenceEncoders on;
+            ref.emplace(g.bits, g.wires, g.block_bits);
+        }
+        ChunkStats word(g.bits, g.wires, g.block_bits);
+        ASSERT_FALSE(ref->usesWordPass());
+        ASSERT_TRUE(word.usesWordPass());
+        SCOPED_TRACE(::testing::Message()
+                     << "chunk " << g.bits << " wires " << g.wires
+                     << " block " << g.block_bits);
+        Rng rng(g.bits * 131 + g.wires * 7 + g.block_bits);
+        for (unsigned i = 0; i < 48; i++) {
+            const BitVec b = encoding::difftest::differentialBlock(
+                rng, i, g.block_bits, g.bits);
+            ref->observe(b);
+            word.observe(b);
+            SCOPED_TRACE(::testing::Message() << "block " << i);
+            expectSameStats(word, *ref);
+            if (::testing::Test::HasFailure())
+                return;
         }
     }
 }

@@ -173,3 +173,11 @@ TEST(DescScheme, OneBitChunksWork)
     EXPECT_EQ(r.data_flips, block.popcount());
     EXPECT_EQ(r.skipped, 512u - block.popcount());
 }
+
+TEST(DescScheme, RejectsChunksTheWordPassCannotPack)
+{
+    // 3-bit chunks do not tile a 64-bit word; the ticked DescLink
+    // (VCD export, examples/waveforms) is the model for them.
+    EXPECT_DEATH(DescScheme{makeCfg(4, 3, SkipMode::Zero, 12)},
+                 "1, 2, 4 or 8-bit chunks");
+}

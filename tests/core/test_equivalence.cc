@@ -8,9 +8,9 @@
  * stream keeps the transmitter's and receiver's skip state in step.
  *
  * The second half pins the fast path figure runs take — DescScheme's
- * word pass, with the scalar walk as its reference — against the
- * ticked link, including the reference hook toggled mid-stream, the
- * ECC bus layouts, and the per-cycle observers only the ticked loop
+ * word pass, its only engine — against the ticked link, including the
+ * reference hook toggled mid-stream (it does not reach DESC), the ECC
+ * bus layouts, and the per-cycle observers only the ticked loop
  * serves.
  */
 
@@ -299,14 +299,6 @@ expectSameResult(const encoding::TransferResult &fast,
     ASSERT_EQ(fast.skipped, ticked.skipped) << "block " << block_no;
 }
 
-/** A scheme built on the scalar reference walk. */
-DescScheme
-referenceScheme(const DescConfig &cfg)
-{
-    encoding::difftest::ReferenceEncoders on;
-    return DescScheme(cfg);
-}
-
 /** The link's endpoints agree on all skip state they carry forward. */
 void
 expectEndpointsInStep(DescLink &link, int block_no)
@@ -321,12 +313,10 @@ expectEndpointsInStep(DescLink &link, int block_no)
 
 /**
  * The fast path against the ticked loop. Figure runs move every DESC
- * block through the behavioral DescScheme, which takes the word pass
- * where the geometry allows and the scalar walk otherwise; the ticked
- * DescLink is the circuit both stand in for. The default DescScheme
- * and one built on the reference walk must agree with the ticked link on
- * every TransferResult field, block after block, while the link
- * recovers every block.
+ * block through the behavioral DescScheme's word pass; the ticked
+ * DescLink is the circuit it stands in for and its only reference.
+ * The two must agree on every TransferResult field, block after
+ * block, while the link recovers every block.
  */
 class LinkFastPath : public DescEquivalence
 {
@@ -336,9 +326,7 @@ TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
 {
     DescConfig cfg = config();
     DescScheme fast(cfg);
-    DescScheme scalar = referenceScheme(cfg);
     DescLink ticked(cfg);
-    ASSERT_FALSE(scalar.usesWordPass());
     Rng rng(0xfa57 + cfg.bus_wires * 131 + cfg.chunk_bits * 7
             + unsigned(cfg.skip));
 
@@ -362,7 +350,6 @@ TEST_P(LinkFastPath, BitIdenticalToTickedLoop)
             auto rt = ticked.transferBlock(block, &recv);
             ASSERT_EQ(recv, block) << "ticked round trip, block " << n;
             expectSameResult(fast.transfer(block), rt, n);
-            expectSameResult(scalar.transfer(block), rt, n);
             expectEndpointsInStep(ticked, n);
         }
     }
@@ -372,7 +359,6 @@ TEST_P(LinkFastPath, ExtremeBlocks)
 {
     DescConfig cfg = config();
     DescScheme fast(cfg);
-    DescScheme scalar = referenceScheme(cfg);
     DescLink ticked(cfg);
 
     BitVec zeros(kBlockBits);
@@ -385,7 +371,6 @@ TEST_P(LinkFastPath, ExtremeBlocks)
         auto rt = ticked.transferBlock(block, &recv);
         ASSERT_EQ(recv, block) << "block " << n;
         expectSameResult(fast.transfer(block), rt, n);
-        expectSameResult(scalar.transfer(block), rt, n);
         expectEndpointsInStep(ticked, n);
         n++;
     }
@@ -393,17 +378,16 @@ TEST_P(LinkFastPath, ExtremeBlocks)
 
 TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
 {
-    // The reference hook is read once, at construction. Toggling it
-    // between blocks must move neither a scheme built with it on nor
-    // one built with it off from its latched path, and both must stay
-    // indistinguishable from the ticked link.
+    // The reference hook selects the scalar walks of the segment
+    // schemes and ChunkStats; DescScheme has none. A scheme built
+    // with the hook on, with the hook toggled between its blocks,
+    // stays on the word pass and indistinguishable from the ticked
+    // link.
     DescConfig cfg = config();
-    DescScheme ref = referenceScheme(cfg);
+    encoding::difftest::ReferenceEncoders restore_on_exit;
     DescScheme word(cfg);
-    const bool word_pass = word.usesWordPass();
     DescLink ticked(cfg);
     Rng rng(0x1237 + cfg.bus_wires + cfg.chunk_bits);
-    encoding::difftest::ReferenceEncoders restore_on_exit;
 
     BitVec prev(kBlockBits);
     for (int i = 0; i < 60; i++) {
@@ -411,13 +395,11 @@ TEST_P(LinkFastPath, InterleavedPathsMatchPureTicked)
         prev = block;
 
         encoding::setReferenceEncoders(i % 3 == 1);
-        ASSERT_FALSE(ref.usesWordPass()) << "block " << i;
-        ASSERT_EQ(word.usesWordPass(), word_pass) << "block " << i;
+        ASSERT_TRUE(word.usesWordPass()) << "block " << i;
 
         BitVec recv;
         auto rt = ticked.transferBlock(block, &recv);
         ASSERT_EQ(recv, block) << "block " << i;
-        expectSameResult(ref.transfer(block), rt, i);
         expectSameResult(word.transfer(block), rt, i);
     }
 }

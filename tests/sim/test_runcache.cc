@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 #include <unistd.h>
 
@@ -207,6 +209,47 @@ TEST(RunCache, CorruptEntryIsAMiss)
         std::ofstream out(e.path(),
                           std::ios::binary | std::ios::trunc);
         out << "not a run cache entry";
+    }
+    EXPECT_FALSE(cache.load(key).has_value());
+}
+
+TEST(RunCache, EntryWithMisSizedHistogramIsAMiss)
+{
+    // A well-formed entry whose chunk histogram has 2 bins for 4-bit
+    // chunks: loading it as a hit would hand out ChunkStats whose
+    // valueFraction(7) reads past the histogram.
+    TempCacheDir tmp;
+    RunCache cache(tmp.dir);
+
+    auto cfg = scaledConfig(tinyConfig());
+    cfg.l2.collect_chunk_stats = true;
+    auto key = configHash(cfg);
+    cache.store(key, runScaledApp(cfg));
+    ASSERT_TRUE(cache.load(key).has_value());
+
+    auto u64s = [](std::initializer_list<std::uint64_t> vals) {
+        std::string bytes;
+        for (std::uint64_t v : vals) {
+            for (int i = 0; i < 8; i++)
+                bytes.push_back(char(std::uint8_t(v >> (8 * i))));
+        }
+        return bytes;
+    };
+    for (const auto &e : std::filesystem::directory_iterator(tmp.dir)) {
+        std::string bytes;
+        {
+            std::ifstream in(e.path(), std::ios::binary);
+            bytes.assign(std::istreambuf_iterator<char>(in), {});
+        }
+        // (chunk bits, wires, bin count), then the 16 bins: keep two.
+        const std::string head = u64s({4, 128, 16});
+        const auto pos = bytes.find(head);
+        ASSERT_NE(pos, std::string::npos);
+        const std::size_t bins = pos + head.size();
+        bytes = bytes.substr(0, pos) + u64s({4, 128, 2})
+            + bytes.substr(bins, 2 * 8) + bytes.substr(bins + 16 * 8);
+        std::ofstream out(e.path(), std::ios::binary | std::ios::trunc);
+        out << bytes;
     }
     EXPECT_FALSE(cache.load(key).has_value());
 }
